@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   DfssspRouter dfsssp(
       DfssspOptions{.max_layers = max_layers, .balance = false});
   DfssspRouter dfsssp_online(DfssspOptions{
-      .max_layers = max_layers, .balance = false, .online = true});
+      .max_layers = max_layers, .balance = false,
+      .mode = LayeringMode::kOnline});
 
   std::vector<std::string> cert_notes;
   const ExecContext exec = cfg.exec();

@@ -1,8 +1,10 @@
 // Google-benchmark microbenchmarks of the hot kernels: the per-destination
 // Dijkstra loop, the offline CDG build + resumable cycle search, the
-// Pearce-Kelly online CDG, the heap, and one congestion-simulation pattern.
+// Pearce-Kelly online CDG (one CDG, and DFSSSP(online)'s first-fit over
+// layers), the heap, and one congestion-simulation pattern.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 
 #include "cdg/cdg.hpp"
@@ -78,6 +80,40 @@ void BM_OnlineCdgInsert(benchmark::State& state) {
                           static_cast<std::int64_t>(paths.size()));
 }
 BENCHMARK(BM_OnlineCdgInsert);
+
+// DFSSSP(online)'s first-fit over per-layer OnlineCdgs on one Figure 9
+// fabric (128 switches x 16 terminals, 200 links, the seed-0 fabric of
+// bench_fig9_vl_random), where almost every reorder ends in a cycle reject.
+void BM_OnlineFirstFit(benchmark::State& state) {
+  constexpr Layer kMaxLayers = 16;
+  Rng rng(0xF169'0000ULL + 200);
+  Topology topo = make_random(128, 16, 200, 16, rng);
+  RouteResponse sssp = route_sssp(topo.net, SsspOptions{.balance = true});
+  PathSet paths = collect_paths(topo.net, sssp.table);
+  const auto num_channels =
+      static_cast<std::uint32_t>(topo.net.num_channels());
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<OnlineCdg>> layers;
+    std::uint64_t placed = 0;
+    for (std::uint32_t p = 0; p < paths.size(); ++p) {
+      auto seq = paths.channels(p);
+      if (seq.size() < 2) continue;
+      for (Layer l = 0; l < kMaxLayers; ++l) {
+        if (l == layers.size()) {
+          layers.push_back(std::make_unique<OnlineCdg>(num_channels));
+        }
+        if (layers[l]->try_add_path(seq)) {
+          ++placed;
+          break;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(placed);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths.size()));
+}
+BENCHMARK(BM_OnlineFirstFit);
 
 void BM_HeapPushPop(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -14,7 +14,7 @@ std::size_t find_adj(const std::vector<OnlineCdg::Adj>& list, ChannelId to);
 
 OnlineCdg::OnlineCdg(std::uint32_t num_channels)
     : out_(num_channels), in_(num_channels), ord_(num_channels),
-      mark_(num_channels, 0) {
+      mark_(num_channels, kUnmarked) {
   for (std::uint32_t i = 0; i < num_channels; ++i) ord_[i] = i;
 }
 
@@ -90,61 +90,68 @@ bool OnlineCdg::reorder(ChannelId u, ChannelId v) {
   const std::uint32_t ub = ord_[u];
   const std::uint32_t lb = ord_[v];
 
-  std::vector<ChannelId> fwd{v}, stack{v};
-  mark_[v] = 1;
+  // Two-way search, one node per side per turn: forward from v (order
+  // below ub), backward from u (order above lb). The visited lists double
+  // as the BFS queues. A node reached from both sides lies on a path
+  // v ~> u, so (u,v) would close a cycle. The other side's mark is tested
+  // before the order bound because u and v sit exactly on the bounds.
+  fwd_.assign(1, v);
+  bwd_.assign(1, u);
+  mark_[v] = kForward;
+  mark_[u] = kBackward;
+  std::size_t fi = 0, bi = 0;
   bool cycle = false;
-  while (!stack.empty() && !cycle) {
-    ChannelId w = stack.back();
-    stack.pop_back();
-    for (const Adj& a : out_[w]) {
-      if (a.to == u) {
-        cycle = true;  // v reaches u, so edge (u,v) would close a cycle
-        break;
+  while (!cycle && (fi < fwd_.size() || bi < bwd_.size())) {
+    if (fi < fwd_.size()) {
+      const ChannelId w = fwd_[fi++];
+      ++num_search_visits_;
+      for (const Adj& a : out_[w]) {
+        if (mark_[a.to] == kBackward) {
+          cycle = true;
+          break;
+        }
+        if (mark_[a.to] == kUnmarked && ord_[a.to] < ub) {
+          mark_[a.to] = kForward;
+          fwd_.push_back(a.to);
+        }
       }
-      if (!mark_[a.to] && ord_[a.to] < ub) {
-        mark_[a.to] = 1;
-        fwd.push_back(a.to);
-        stack.push_back(a.to);
+    }
+    if (!cycle && bi < bwd_.size()) {
+      const ChannelId w = bwd_[bi++];
+      ++num_search_visits_;
+      for (const Adj& a : in_[w]) {
+        if (mark_[a.to] == kForward) {
+          cycle = true;
+          break;
+        }
+        if (mark_[a.to] == kUnmarked && ord_[a.to] > lb) {
+          mark_[a.to] = kBackward;
+          bwd_.push_back(a.to);
+        }
       }
     }
   }
+  for (ChannelId w : fwd_) mark_[w] = kUnmarked;
+  for (ChannelId w : bwd_) mark_[w] = kUnmarked;
   if (cycle) {
-    for (ChannelId w : fwd) mark_[w] = 0;
+    ++num_cycle_rejects_;
     return false;
   }
 
-  std::vector<ChannelId> bwd{u};
-  stack.assign(1, u);
-  mark_[u] = 2;
-  while (!stack.empty()) {
-    ChannelId w = stack.back();
-    stack.pop_back();
-    for (const Adj& a : in_[w]) {
-      assert(mark_[a.to] != 1);  // overlap with fwd would be a missed cycle
-      if (!mark_[a.to] && ord_[a.to] > lb) {
-        mark_[a.to] = 2;
-        bwd.push_back(a.to);
-        stack.push_back(a.to);
-      }
-    }
-  }
-
+  // Without a meet both searches ran to completion, so fwd_ and bwd_ are
+  // exactly the forward and backward regions, whatever the visit order.
   // Reassign the union's order slots: the backward region (ending in u)
   // first, then the forward region (starting at v).
   auto by_ord = [this](ChannelId a, ChannelId b) { return ord_[a] < ord_[b]; };
-  std::sort(fwd.begin(), fwd.end(), by_ord);
-  std::sort(bwd.begin(), bwd.end(), by_ord);
-  std::vector<std::uint32_t> pool;
-  pool.reserve(fwd.size() + bwd.size());
-  for (ChannelId w : fwd) pool.push_back(ord_[w]);
-  for (ChannelId w : bwd) pool.push_back(ord_[w]);
-  std::sort(pool.begin(), pool.end());
+  std::sort(fwd_.begin(), fwd_.end(), by_ord);
+  std::sort(bwd_.begin(), bwd_.end(), by_ord);
+  pool_.clear();
+  for (ChannelId w : fwd_) pool_.push_back(ord_[w]);
+  for (ChannelId w : bwd_) pool_.push_back(ord_[w]);
+  std::sort(pool_.begin(), pool_.end());
   std::size_t idx = 0;
-  for (ChannelId w : bwd) ord_[w] = pool[idx++];
-  for (ChannelId w : fwd) ord_[w] = pool[idx++];
-
-  for (ChannelId w : fwd) mark_[w] = 0;
-  for (ChannelId w : bwd) mark_[w] = 0;
+  for (ChannelId w : bwd_) ord_[w] = pool_[idx++];
+  for (ChannelId w : fwd_) ord_[w] = pool_[idx++];
   return true;
 }
 

@@ -7,6 +7,17 @@
 // order with the Pearce-Kelly algorithm: inserting an edge (u,v) does work
 // only when ord(v) < ord(u), and only within the affected region, which
 // keeps the online assignment practical while remaining exact.
+//
+// The affected region is found by a two-way search in the style of
+// Bender, Fineman, Gilbert and Tarjan ("A new approach to incremental
+// cycle detection"): a forward search from v over nodes ordered below
+// ord(u) and a backward search from u over nodes ordered above ord(v)
+// take turns, one node each. A node reached from both sides closes a
+// cycle, so most rejects stop after a fraction of the forward region a
+// one-way search would walk. When the sides do not meet, both ran to
+// completion and found exactly the regions a one-way search finds
+// (reachability does not depend on visit order), so the reassigned order,
+// and with it topological_order(), is the same as Pearce-Kelly's.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +56,10 @@ class OnlineCdg {
   /// Pearce-Kelly reorder passes run so far (the non-trivial acyclicity
   /// checks); exposed so callers can flush it into the obs registry.
   std::uint64_t num_reorders() const { return num_reorders_; }
+  /// Nodes expanded by the reorder searches, both directions.
+  std::uint64_t num_search_visits() const { return num_search_visits_; }
+  /// Reorders that found a cycle, i.e. rejected edges.
+  std::uint64_t num_cycle_rejects() const { return num_cycle_rejects_; }
 
   /// Exposed for tests: true when (u,v) is currently present.
   bool has_edge(ChannelId u, ChannelId v) const;
@@ -64,16 +79,26 @@ class OnlineCdg {
   /// Returns false when v reaches u (cycle).
   bool reorder(ChannelId u, ChannelId v);
 
+  enum Mark : std::uint8_t { kUnmarked, kForward, kBackward };
+
   // Sorted-by-`to` adjacency per node; refcounted because many paths can
   // induce the same dependency edge.
   std::vector<std::vector<Adj>> out_;
   std::vector<std::vector<Adj>> in_;
-  std::vector<std::uint32_t> ord_;    // topological order, a permutation
-  std::vector<std::uint8_t> mark_;    // scratch for the reorder DFS
+  std::vector<std::uint32_t> ord_;  // topological order, a permutation
+  // Reorder scratch, reused across calls: the side that reached each node
+  // (kUnmarked between calls), the two visited lists, which double as the
+  // search queues, and the pooled order slots.
+  std::vector<Mark> mark_;
+  std::vector<ChannelId> fwd_;
+  std::vector<ChannelId> bwd_;
+  std::vector<std::uint32_t> pool_;
   std::uint64_t num_paths_ = 0;
   std::uint64_t num_edges_ = 0;
   std::uint64_t num_insertions_ = 0;
   std::uint64_t num_reorders_ = 0;
+  std::uint64_t num_search_visits_ = 0;
+  std::uint64_t num_cycle_rejects_ = 0;
 };
 
 }  // namespace dfsssp

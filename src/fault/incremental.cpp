@@ -173,6 +173,15 @@ Layer IncrementalDfsssp::scan_layers_used() const {
   return used;
 }
 
+IncrementalDfsssp::SearchWork IncrementalDfsssp::search_work() const {
+  SearchWork work;
+  for (const auto& l : layers_) {
+    work.visits += l->num_search_visits();
+    work.rejects += l->num_cycle_rejects();
+  }
+  return work;
+}
+
 std::uint64_t IncrementalDfsssp::count_paths() const {
   std::uint64_t routed = 0;
   for (const DestPaths& dp : dest_) routed += dp.routed ? 1 : 0;
@@ -213,6 +222,11 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
     // finish() runs inside the fault/route_full or fault/repair span, so
     // the re-layer attempts attribute to whichever path ran.
     PROF_COUNT("fault/acyclicity_checks", acyclicity_checks_);
+    const SearchWork work = search_work();
+    sink.counter("cdg/pk_search_visits")
+        .add(work.visits - search_work_at_start_.visits);
+    sink.counter("cdg/pk_cycle_rejects")
+        .add(work.rejects - search_work_at_start_.rejects);
   }
   sink.gauge("fault/active_paths").set(out.stats.paths);
   sink.gauge("fault/layers_used").set(layers_used);
@@ -229,6 +243,7 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
   reset(topo, request.layer_budget(options_.max_layers));
   dijkstra_seconds_ = layering_seconds_ = 0.0;
   acyclicity_checks_ = 0;
+  search_work_at_start_ = {};
   const Network& net = topo.net;
 
   RouteResponse out;
@@ -274,6 +289,7 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
 
   dijkstra_seconds_ = layering_seconds_ = 0.0;
   acyclicity_checks_ = 0;
+  search_work_at_start_ = search_work();
   const Network& net = topo_->net;
   RouteResponse out;
   out.repair.incremental = true;

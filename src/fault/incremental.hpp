@@ -89,6 +89,12 @@ class IncrementalDfsssp {
   /// storage and first-fit layering. `error` is set on failure.
   DestStatus route_destination(std::uint32_t ti, std::string& error);
   Layer scan_layers_used() const;
+  /// Pearce-Kelly search work summed over the layer CDGs.
+  struct SearchWork {
+    std::uint64_t visits = 0;
+    std::uint64_t rejects = 0;
+  };
+  SearchWork search_work() const;
   RouteResponse finish(const RouteRequest& request, RouteResponse out);
   std::uint64_t count_paths() const;
 
@@ -114,6 +120,9 @@ class IncrementalDfsssp {
   double dijkstra_seconds_ = 0.0;
   double layering_seconds_ = 0.0;
   std::uint64_t acyclicity_checks_ = 0;
+  // The layer CDGs persist across repairs, so finish() flushes the search
+  // work done since this snapshot, not the CDGs' running totals.
+  SearchWork search_work_at_start_;
 };
 
 }  // namespace dfsssp

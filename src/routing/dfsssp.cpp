@@ -25,14 +25,14 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   ScopedTimer phase_timer(h_layering_ns);
   Timer timer;
   std::uint64_t acyclicity_checks = 0, pk_reorders = 0;
+  std::uint64_t pk_search_visits = 0, pk_cycle_rejects = 0;
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
   PathSet paths = collect_paths(net, out.table);
 
   std::vector<Layer> layer;
   Layer layers_used = 1;
-  const LayeringMode mode = options_.effective_mode();
-  if (mode == LayeringMode::kOnline) {
+  if (options_.mode == LayeringMode::kOnline) {
     layer.assign(paths.size(), 0);
     std::vector<std::unique_ptr<OnlineCdg>> layers;
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
@@ -57,15 +57,19 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
       layer[p] = assigned;
       layers_used = std::max(layers_used, static_cast<Layer>(assigned + 1));
     }
-    for (const auto& l : layers) pk_reorders += l->num_reorders();
     std::uint64_t cdg_insertions = 0;
-    for (const auto& l : layers) cdg_insertions += l->num_insertions();
+    for (const auto& l : layers) {
+      pk_reorders += l->num_reorders();
+      pk_search_visits += l->num_search_visits();
+      pk_cycle_rejects += l->num_cycle_rejects();
+      cdg_insertions += l->num_insertions();
+    }
     PROF_COUNT("cdg/edge_insertions", cdg_insertions);
     if (options_.balance) {
       layers_used =
           balance_layers(paths, layer, layers_used, max_layers);
     }
-  } else if (mode == LayeringMode::kOnlineNaive) {
+  } else if (options_.mode == LayeringMode::kOnlineNaive) {
     // The paper's first approach: per path, per candidate layer, rebuild
     // the layer's member set and run a full depth-first cycle search.
     layer.assign(paths.size(), 0);
@@ -128,6 +132,8 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   if (pk_reorders > 0) {
     sink.counter("dfsssp/pk_reorders").add(pk_reorders);
     PROF_COUNT("dfsssp/pk_reorders", pk_reorders);
+    sink.counter("cdg/pk_search_visits").add(pk_search_visits);
+    sink.counter("cdg/pk_cycle_rejects").add(pk_cycle_rejects);
   }
   sink.gauge("dfsssp/layers_used").set(layers_used);
   return out;

@@ -34,14 +34,7 @@ struct DfssspOptions {
   CycleHeuristic heuristic = CycleHeuristic::kWeakestEdge;
   /// Spread paths over unused layers (Algorithm 2's final loop).
   bool balance = true;
-  /// Backwards-compatible alias: true selects LayeringMode::kOnline.
-  bool online = false;
   LayeringMode mode = LayeringMode::kOffline;
-
-  LayeringMode effective_mode() const {
-    return online && mode == LayeringMode::kOffline ? LayeringMode::kOnline
-                                                    : mode;
-  }
 };
 
 class DfssspRouter final : public Router {
@@ -49,7 +42,7 @@ class DfssspRouter final : public Router {
   explicit DfssspRouter(DfssspOptions options = {}) : options_(options) {}
 
   std::string name() const override {
-    switch (options_.effective_mode()) {
+    switch (options_.mode) {
       case LayeringMode::kOnline: return "DFSSSP(online)";
       case LayeringMode::kOnlineNaive: return "DFSSSP(naive-online)";
       case LayeringMode::kOffline: break;

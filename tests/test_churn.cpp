@@ -226,62 +226,108 @@ TEST(IncrementalDfsssp, RepairProvenance) {
 
 // Satellite: Network mutation keeps the metrics and RoutingStats.paths
 // consistent — counters reflect the alive state, never stale entries.
+// Runs on a fat tree and on a torus: the fat tree's repairs re-insert
+// paths without a reorder, while the torus's CDG has cycles, so its
+// repairs search and reject in the persistent layer CDGs.
 TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
-  Topology topo = make_kary_ntree(4, 2);
-  Network& net = topo.net;
-  obs::Registry sink;
-  RouteRequest request(topo);
-  request.metrics = &sink;
+  const std::uint32_t dims[] = {4, 4};
+  struct Case {
+    Topology topo;
+    bool repairs_search;
+  };
+  for (Case c : {Case{make_kary_ntree(4, 2), false},
+                 Case{make_torus(dims, 2, true), true}}) {
+    SCOPED_TRACE(c.topo.name);
+    Topology& topo = c.topo;
+    Network& net = topo.net;
+    obs::Registry sink;
+    RouteRequest request(topo);
+    request.metrics = &sink;
 
-  IncrementalDfsssp inc;
-  RouteResponse base = inc.route(request);
-  ASSERT_TRUE(base.ok);
-  const auto expect_consistent = [&](const RouteResponse& out) {
-    const std::uint64_t alive_sw = net.num_alive_switches();
-    const std::uint64_t expected =
-        alive_terminals(net) * (alive_sw - 1);
-    EXPECT_EQ(out.stats.paths, expected);
-    const obs::Snapshot snap = sink.snapshot();
-    EXPECT_EQ(snap.at("fault/active_paths").value, expected);
-    EXPECT_EQ(snap.at("fault/dead_channels").value, net.num_dead_channels());
-    EXPECT_EQ(snap.at("fault/layers_used").value, out.stats.layers_used);
-    // No stale columns: dead destinations have no forwarding entries.
-    for (NodeId d : net.terminals()) {
-      if (net.terminal_alive(d)) continue;
-      for (NodeId sw : net.switches()) {
-        EXPECT_EQ(out.table.next(sw, d), kInvalidChannel);
+    IncrementalDfsssp inc;
+    RouteResponse base = inc.route(request);
+    ASSERT_TRUE(base.ok);
+    const auto expect_consistent = [&](const RouteResponse& out) {
+      const std::uint64_t alive_sw = net.num_alive_switches();
+      const std::uint64_t expected =
+          alive_terminals(net) * (alive_sw - 1);
+      EXPECT_EQ(out.stats.paths, expected);
+      const obs::Snapshot snap = sink.snapshot();
+      EXPECT_EQ(snap.at("fault/active_paths").value, expected);
+      EXPECT_EQ(snap.at("fault/dead_channels").value, net.num_dead_channels());
+      EXPECT_EQ(snap.at("fault/layers_used").value, out.stats.layers_used);
+      // No stale columns: dead destinations have no forwarding entries.
+      for (NodeId d : net.terminals()) {
+        if (net.terminal_alive(d)) continue;
+        for (NodeId sw : net.switches()) {
+          EXPECT_EQ(out.table.next(sw, d), kInvalidChannel);
+        }
+      }
+    };
+    expect_consistent(base);
+    // The layer CDGs persist across repairs, so each call must flush its own
+    // search work, not the CDGs' running totals: a repair re-routes a few
+    // destinations and so searches less than the full route did.
+    const auto counter = [&](const char* name) {
+      return sink.snapshot().at(name).value;
+    };
+    std::uint64_t visits = counter("cdg/pk_search_visits");
+    std::uint64_t rejects = counter("cdg/pk_cycle_rejects");
+    std::uint64_t checks = counter("fault/acyclicity_checks");
+    const std::uint64_t route_visits = visits;
+    const std::uint64_t route_rejects = rejects;
+    ASSERT_GT(route_visits, 0u);
+    const auto expect_own_search_work = [&] {
+      const std::uint64_t call_visits =
+          counter("cdg/pk_search_visits") - visits;
+      const std::uint64_t call_rejects =
+          counter("cdg/pk_cycle_rejects") - rejects;
+      const std::uint64_t call_checks =
+          counter("fault/acyclicity_checks") - checks;
+      EXPECT_LT(call_visits, route_visits);
+      EXPECT_LE(call_rejects, call_checks);  // at most one per failed check
+      if (c.repairs_search) {
+        EXPECT_GT(call_visits, 0u);
+        EXPECT_GT(call_rejects, 0u);
+        EXPECT_LT(call_rejects, route_rejects);
+      }
+      visits += call_visits;
+      rejects += call_rejects;
+      checks += call_checks;
+    };
+
+    ChurnEngine churn(topo);
+    // Kill a switch: its terminals must drop out of every counter.
+    NodeId victim = kInvalidNode;
+    ChurnDelta delta;
+    for (NodeId sw : net.switches()) {
+      delta = churn.apply({FaultKind::kSwitchDown, kInvalidChannel, sw});
+      if (delta.applied) {
+        victim = sw;
+        break;
       }
     }
-  };
-  expect_consistent(base);
+    ASSERT_NE(victim, kInvalidNode) << "no switch could die without partition";
+    RouteResponse repaired = inc.repair(request, delta);
+    ASSERT_TRUE(repaired.ok) << repaired.error;
+    expect_consistent(repaired);
+    EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 1u);
+    ASSERT_TRUE(repaired.repair.incremental);
+    expect_own_search_work();
 
-  ChurnEngine churn(topo);
-  // Kill a switch: its terminals must drop out of every counter.
-  NodeId victim = kInvalidNode;
-  ChurnDelta delta;
-  for (NodeId sw : net.switches()) {
-    delta = churn.apply({FaultKind::kSwitchDown, kInvalidChannel, sw});
-    if (delta.applied) {
-      victim = sw;
-      break;
-    }
+    // And a link kill on the degraded fabric.
+    const FaultSchedule kills = FaultSchedule::link_kills(net, 1, 17);
+    ASSERT_EQ(kills.size(), 1u);
+    const ChurnDelta link_delta = churn.apply(kills[0]);
+    ASSERT_TRUE(link_delta.applied);
+    RouteResponse again = inc.repair(request, link_delta);
+    ASSERT_TRUE(again.ok) << again.error;
+    expect_consistent(again);
+    EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 2u);
+    ASSERT_TRUE(again.repair.incremental);
+    expect_own_search_work();
+    EXPECT_GT(sink.snapshot().at("fault/destinations_rerouted").value, 0u);
   }
-  ASSERT_NE(victim, kInvalidNode) << "no switch could die without partition";
-  RouteResponse repaired = inc.repair(request, delta);
-  ASSERT_TRUE(repaired.ok) << repaired.error;
-  expect_consistent(repaired);
-  EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 1u);
-
-  // And a link kill on the degraded fabric.
-  const FaultSchedule kills = FaultSchedule::link_kills(net, 1, 17);
-  ASSERT_EQ(kills.size(), 1u);
-  const ChurnDelta link_delta = churn.apply(kills[0]);
-  ASSERT_TRUE(link_delta.applied);
-  RouteResponse again = inc.repair(request, link_delta);
-  ASSERT_TRUE(again.ok) << again.error;
-  expect_consistent(again);
-  EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 2u);
-  EXPECT_GT(sink.snapshot().at("fault/destinations_rerouted").value, 0u);
 }
 
 // Satellite: the randomized churn soak. Every repair state must be

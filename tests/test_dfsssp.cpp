@@ -53,7 +53,8 @@ TEST(Dfsssp, ConnectedAndMinimalEverywhere) {
 TEST(Dfsssp, OnlineModeMatchesDeadlockFreedom) {
   Topology topo = make_ring(7, 2);
   RouteResponse out =
-      DfssspRouter(DfssspOptions{.online = true}).route(RouteRequest(topo));
+      DfssspRouter(DfssspOptions{.mode = LayeringMode::kOnline})
+          .route(RouteRequest(topo));
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_TRUE(routing_is_deadlock_free(topo.net, out.table));
 }

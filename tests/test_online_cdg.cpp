@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "cdg/verify.hpp"
@@ -95,6 +96,100 @@ TEST(OnlineCdg, RandomizedAgainstNaiveChecker) {
     // Final state must be acyclic.
     EXPECT_TRUE(paths_are_acyclic(accepted, members, num_nodes));
   }
+}
+
+TEST(OnlineCdg, TwoWaySearchMeetsFromEitherSide) {
+  // (1,0) closes 0->1: the forward side's first expansion (node 0) sees u.
+  OnlineCdg direct(2);
+  EXPECT_TRUE(direct.try_add_path(std::vector<ChannelId>{0, 1}));
+  EXPECT_FALSE(direct.try_add_path(std::vector<ChannelId>{1, 0}));
+  EXPECT_EQ(direct.num_reorders(), 1U);
+  EXPECT_EQ(direct.num_search_visits(), 1U);
+  EXPECT_EQ(direct.num_cycle_rejects(), 1U);
+
+  // (2,0) closes 0->1->2: forward expands 0 and reaches 1, then backward
+  // expands 2 and finds 1 already reached from the other side.
+  OnlineCdg chain(3);
+  EXPECT_TRUE(chain.try_add_path(std::vector<ChannelId>{0, 1, 2}));
+  EXPECT_FALSE(chain.try_add_path(std::vector<ChannelId>{2, 0}));
+  EXPECT_EQ(chain.num_search_visits(), 2U);
+  EXPECT_EQ(chain.num_cycle_rejects(), 1U);
+  EXPECT_FALSE(chain.has_edge(2, 0));
+
+  // An accepted reorder runs both sides to completion and counts no reject.
+  OnlineCdg order(4);
+  EXPECT_TRUE(order.try_add_path(std::vector<ChannelId>{2, 3}));
+  EXPECT_TRUE(order.try_add_path(std::vector<ChannelId>{0, 1}));
+  EXPECT_TRUE(order.try_add_path(std::vector<ChannelId>{3, 0}));
+  EXPECT_EQ(order.num_reorders(), 1U);
+  EXPECT_EQ(order.num_search_visits(), 4U);  // {0, 1} forward, {3, 2} back
+  EXPECT_EQ(order.num_cycle_rejects(), 0U);
+  EXPECT_EQ(order.topological_order(),
+            (std::vector<ChannelId>{2, 3, 0, 1}));
+}
+
+// Thousands of inserts and removals on a 50-node graph: every answer
+// matches the naive oracle, and after every step the maintained order
+// places every present edge forward. Covers meets found by either side,
+// scratch reused across calls, and reorders over a graph that shrinks.
+TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
+  constexpr std::uint32_t kNodes = 50;
+  Rng rng(2025);
+  OnlineCdg cdg(kNodes);
+  std::vector<std::vector<ChannelId>> accepted;
+  std::uint64_t inserts = 0, removals = 0, rejects = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (!accepted.empty() && rng.next_below(4) == 0) {
+      const std::size_t i =
+          static_cast<std::size_t>(rng.next_below(accepted.size()));
+      cdg.remove_path(accepted[i]);
+      accepted[i] = std::move(accepted.back());
+      accepted.pop_back();
+      ++removals;
+    } else {
+      // Random simple path of 2..6 channels.
+      std::vector<ChannelId> seq;
+      const std::uint32_t len =
+          2 + static_cast<std::uint32_t>(rng.next_below(5));
+      while (seq.size() < len) {
+        const ChannelId c = static_cast<ChannelId>(rng.next_below(kNodes));
+        if (std::find(seq.begin(), seq.end(), c) == seq.end()) {
+          seq.push_back(c);
+        }
+      }
+      PathSet trial;
+      for (const auto& p : accepted) trial.add(0, 0, p, 1);
+      trial.add(0, 0, seq, 1);
+      std::vector<std::uint32_t> members(trial.size());
+      std::iota(members.begin(), members.end(), 0U);
+      const bool oracle = paths_are_acyclic(trial, members, kNodes);
+
+      const bool got = cdg.try_add_path(seq);
+      ASSERT_EQ(got, oracle) << "step " << step;
+      if (got) {
+        accepted.push_back(std::move(seq));
+        ++inserts;
+      } else {
+        ++rejects;
+      }
+    }
+
+    ASSERT_EQ(cdg.num_paths(), accepted.size());
+    const std::vector<ChannelId> order = cdg.topological_order();
+    std::vector<std::uint32_t> pos(kNodes, kNodes);
+    for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
+    for (const auto& p : accepted) {
+      for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+        ASSERT_TRUE(cdg.has_edge(p[i], p[i + 1])) << "step " << step;
+        ASSERT_LT(pos[p[i]], pos[p[i + 1]]) << "step " << step;
+      }
+    }
+  }
+  // The mix really exercised all three operations.
+  EXPECT_GT(inserts, 500U);
+  EXPECT_GT(removals, 500U);
+  EXPECT_GT(rejects, 500U);
+  EXPECT_EQ(cdg.num_cycle_rejects(), rejects);
 }
 
 TEST(OnlineCdg, SelfLoopRejected) {

@@ -73,7 +73,8 @@ TEST_P(RandomTopologyProperty, OfflineAndOnlineDfssspBothCover) {
   RouteResponse offline =
       DfssspRouter(DfssspOptions{.max_layers = 16, .balance = false}).route(RouteRequest(topo));
   RouteResponse online = DfssspRouter(
-      DfssspOptions{.max_layers = 16, .balance = false, .online = true})
+      DfssspOptions{.max_layers = 16, .balance = false,
+                    .mode = LayeringMode::kOnline})
       .route(RouteRequest(topo));
   ASSERT_TRUE(offline.ok) << offline.error;
   ASSERT_TRUE(online.ok) << online.error;
