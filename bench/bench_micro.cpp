@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot kernels: the per-destination
-// Dijkstra loop, the offline CDG build + resumable cycle search, the
-// Pearce-Kelly online CDG (one CDG, and DFSSSP(online)'s first-fit over
-// layers), the heap, and one congestion-simulation pattern.
+// Dijkstra loop, the offline CDG build alone and with the resumable cycle
+// search, the Pearce-Kelly online CDG (one CDG, and DFSSSP(online)'s
+// first-fit over layers), the heap, and one congestion-simulation pattern.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -81,17 +81,48 @@ void BM_OnlineCdgInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineCdgInsert);
 
-// DFSSSP(online)'s first-fit over per-layer OnlineCdgs on one Figure 9
-// fabric (128 switches x 16 terminals, 200 links, the seed-0 fabric of
-// bench_fig9_vl_random), where almost every reorder ends in a cycle reject.
-void BM_OnlineFirstFit(benchmark::State& state) {
-  constexpr Layer kMaxLayers = 16;
+// All paths of one Figure 9 fabric (128 switches x 16 terminals, 200 links,
+// the seed-0 fabric of bench_fig9_vl_random) under balanced SSSP.
+struct Fig9Paths {
+  PathSet paths;
+  std::uint32_t num_channels = 0;
+};
+
+Fig9Paths fig9_paths() {
   Rng rng(0xF169'0000ULL + 200);
   Topology topo = make_random(128, 16, 200, 16, rng);
   RouteResponse sssp = route_sssp(topo.net, SsspOptions{.balance = true});
-  PathSet paths = collect_paths(topo.net, sssp.table);
-  const auto num_channels =
-      static_cast<std::uint32_t>(topo.net.num_channels());
+  return {collect_paths(topo.net, sssp.table),
+          static_cast<std::uint32_t>(topo.net.num_channels())};
+}
+
+// The Cdg build alone over every path of that fabric: what layer 0 of
+// Algorithm 2 and a one-layer certificate pay before any search.
+// Items = (u, v, path) dependencies bucketed.
+void BM_CdgBuild(benchmark::State& state) {
+  const Fig9Paths fabric = fig9_paths();
+  std::vector<std::uint32_t> members(fabric.paths.size());
+  std::iota(members.begin(), members.end(), 0U);
+  std::int64_t triples = 0;
+  for (std::uint32_t p : members) {
+    const std::size_t hops = fabric.paths.channels(p).size();
+    if (hops >= 2) triples += static_cast<std::int64_t>(hops - 1);
+  }
+  for (auto _ : state) {
+    Cdg cdg(fabric.paths, members, fabric.num_channels);
+    benchmark::DoNotOptimize(cdg);
+  }
+  state.SetItemsProcessed(state.iterations() * triples);
+}
+BENCHMARK(BM_CdgBuild);
+
+// DFSSSP(online)'s first-fit over per-layer OnlineCdgs on the same fabric,
+// where almost every reorder ends in a cycle reject.
+void BM_OnlineFirstFit(benchmark::State& state) {
+  constexpr Layer kMaxLayers = 16;
+  const Fig9Paths fabric = fig9_paths();
+  const PathSet& paths = fabric.paths;
+  const std::uint32_t num_channels = fabric.num_channels;
   for (auto _ : state) {
     std::vector<std::unique_ptr<OnlineCdg>> layers;
     std::uint64_t placed = 0;

@@ -298,15 +298,17 @@ CertCheckResult check_certificate(const Network& net,
     if (net.terminals_on(sw) == 0 || !net.switch_up(sw)) continue;
     for (NodeId t : net.terminals()) {
       if (net.switch_of(t) == sw || !net.terminal_alive(t)) continue;
-      const std::string pair_name =
-          net.node_name(sw) + " -> " + net.node_name(t);
+      // Formatted only on a reject: the name costs more than the check.
+      auto pair_name = [&] {
+        return net.node_name(sw) + " -> " + net.node_name(t);
+      };
       if (!table.extract_path(net, sw, t, seq)) {
-        return reject("broken forwarding path " + pair_name +
+        return reject("broken forwarding path " + pair_name() +
                       " (dead end or loop); nothing to certify");
       }
       const Layer l = table.layer(sw, t);
       if (l >= cert.num_layers) {
-        return reject("path " + pair_name + " on layer " +
+        return reject("path " + pair_name() + " on layer " +
                       std::to_string(unsigned(l)) +
                       " beyond the certificate's " +
                       std::to_string(unsigned(cert.num_layers)) + " layers");
@@ -319,14 +321,14 @@ CertCheckResult check_certificate(const Network& net,
           const ChannelId missing = pa == kNoPos ? seq[i] : seq[i + 1];
           return reject("layer " + std::to_string(unsigned(l)) +
                         ": channel " + channel_name(net, missing) +
-                        " used by path " + pair_name +
+                        " used by path " + pair_name() +
                         " is missing from the order");
         }
         if (pa >= pb) {
           return reject("layer " + std::to_string(unsigned(l)) +
                         ": dependency " + channel_name(net, seq[i]) +
                         " => " + channel_name(net, seq[i + 1]) +
-                        " of path " + pair_name +
+                        " of path " + pair_name() +
                         " violates the topological order");
         }
         ++result.deps_checked;

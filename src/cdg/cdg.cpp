@@ -17,50 +17,77 @@ Cdg::Cdg(const PathSet& paths, std::span<const std::uint32_t> members,
          std::uint32_t num_channels)
     : num_channels_(num_channels) {
   in_cdg_.assign(paths.size(), 0);
-
-  // Collect (u, v, path) triples for every consecutive channel pair.
-  struct Triple {
-    ChannelId u, v;
-    std::uint32_t p;
-  };
-  std::vector<Triple> triples;
   alive_members_ = static_cast<std::uint32_t>(members.size());
+
+  // Count the dependencies leaving each channel u; the prefix sum gives u's
+  // bucket [bucket[u], bucket[u + 1]) of (v, path) pairs. Every pair of a
+  // bucket lands in one of u's edges, and edges are laid out in (u, v)
+  // order, so a bucket is also exactly u's range of path_refs_.
+  std::vector<std::uint32_t> bucket(num_channels_ + 1, 0);
   for (std::uint32_t p : members) {
     in_cdg_[p] = 1;
     auto seq = paths.channels(p);
-    for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-      triples.push_back({seq[i], seq[i + 1], p});
-    }
-  }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
-
-  offset_.assign(num_channels_ + 1, 0);
-  path_refs_.reserve(triples.size());
-  for (std::size_t i = 0; i < triples.size();) {
-    std::size_t j = i;
-    Edge e;
-    e.to = triples[i].v;
-    e.path_begin = static_cast<std::uint32_t>(path_refs_.size());
-    while (j < triples.size() && triples[j].u == triples[i].u &&
-           triples[j].v == triples[i].v) {
-      path_refs_.push_back(triples[j].p);
-      e.alive_weight += paths.weight(triples[j].p);
-      ++j;
-    }
-    e.path_count = static_cast<std::uint32_t>(j - i);
-    e.alive_count = e.path_count;
-    edge_src_.push_back(triples[i].u);
-    edges_.push_back(e);
-    ++offset_[triples[i].u + 1];
-    i = j;
+    for (std::size_t i = 0; i + 1 < seq.size(); ++i) ++bucket[seq[i] + 1];
   }
   for (std::uint32_t u = 0; u < num_channels_; ++u) {
-    offset_[u + 1] += offset_[u];
+    bucket[u + 1] += bucket[u];
   }
+  const std::uint32_t num_deps = bucket[num_channels_];
+  static obs::Counter& c_triples = obs::registry().counter("cdg/build_triples");
+  c_triples.add(num_deps);
+
+  // Scatter the pairs into their buckets, in member order.
+  struct Dep {
+    ChannelId v;
+    std::uint32_t p;
+  };
+  std::vector<Dep> deps(num_deps);
+  std::vector<std::uint32_t> cursor(bucket.begin(), bucket.end() - 1);
+  for (std::uint32_t p : members) {
+    auto seq = paths.channels(p);
+    for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+      deps[cursor[seq[i]]++] = {seq[i + 1], p};
+    }
+  }
+
+  // Per bucket: mark the distinct successors (slot[v] counts v's pairs,
+  // 0 = unmarked), sort only those, turn the counts into path-range
+  // cursors, place the paths in member order, then clear the marks.
+  offset_.assign(num_channels_ + 1, 0);
+  path_refs_.resize(num_deps);
+  std::vector<std::uint32_t> slot(num_channels_, 0);
+  std::vector<ChannelId> succ;
+  for (ChannelId u = 0; u < num_channels_; ++u) {
+    offset_[u] = static_cast<std::uint32_t>(edges_.size());
+    const std::uint32_t begin = bucket[u], end = bucket[u + 1];
+    succ.clear();
+    for (std::uint32_t k = begin; k < end; ++k) {
+      if (slot[deps[k].v]++ == 0) succ.push_back(deps[k].v);
+    }
+    std::sort(succ.begin(), succ.end());
+    std::uint32_t path_begin = begin;
+    for (ChannelId v : succ) {
+      Edge e;
+      e.to = v;
+      e.path_begin = path_begin;
+      e.path_count = slot[v];
+      e.alive_count = slot[v];
+      slot[v] = path_begin;
+      path_begin += e.path_count;
+      edges_.push_back(e);
+      edge_src_.push_back(u);
+    }
+    for (std::uint32_t k = begin; k < end; ++k) {
+      path_refs_[slot[deps[k].v]++] = deps[k].p;
+    }
+    for (std::uint32_t i = offset_[u]; i < edges_.size(); ++i) {
+      for (std::uint32_t p : edge_paths(i)) {
+        edges_[i].alive_weight += paths.weight(p);
+      }
+    }
+    for (ChannelId v : succ) slot[v] = 0;
+  }
+  offset_[num_channels_] = static_cast<std::uint32_t>(edges_.size());
 }
 
 std::span<const std::uint32_t> Cdg::edge_paths(std::uint32_t edge_index) const {

@@ -30,10 +30,19 @@ namespace dfsssp {
 
 /// Immutable-topology CDG over one layer's member paths; supports removing
 /// paths (alive counters) but never adding, which is all Algorithm 2 needs.
+///
+/// The build is a counting pass, linear in the number of dependencies (one
+/// per consecutive channel pair of a member path): count the dependencies
+/// per source channel u, scatter the (v, path) pairs into u's bucket in
+/// member order, then, per bucket, sort only its distinct successors v (at
+/// most the switch's out-degree) and place each path into its edge. Edges
+/// come out in (u, v) order, and each edge's path list in member order.
+/// Algorithm 2, the certificate and the witness all use this one build.
 class Cdg {
  public:
-  /// Builds the CDG induced by `members` (indices into `paths`).
-  /// `num_channels` sizes the node set; `num_paths` the membership bitmap.
+  /// Builds the CDG induced by `members` (indices into `paths`, any order,
+  /// no repeats). `num_channels` sizes the node set; every channel of a
+  /// member path must be below it.
   Cdg(const PathSet& paths, std::span<const std::uint32_t> members,
       std::uint32_t num_channels);
 
@@ -60,10 +69,11 @@ class Cdg {
   /// Global edge index range of node u: [first_edge(u), first_edge(u)+deg).
   std::uint32_t first_edge(ChannelId u) const { return offset_[u]; }
 
-  /// Paths (dead or alive) that ever induced this edge.
+  /// Paths (dead or alive) that ever induced this edge, in member order; a
+  /// path that uses the dependency twice is listed twice.
   std::span<const std::uint32_t> edge_paths(std::uint32_t edge_index) const;
 
-  /// Member paths still alive on this edge.
+  /// Member paths still alive on this edge, in member order.
   std::vector<std::uint32_t> alive_paths(std::uint32_t edge_index) const;
 
   bool path_alive(std::uint32_t p) const { return in_cdg_[p] != 0; }

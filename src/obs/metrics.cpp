@@ -151,14 +151,18 @@ Gauge& Registry::gauge(const std::string& name, Kind kind) {
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<std::uint64_t> edges, Kind kind) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = metrics_[name];
-  if (!e.histogram) {
-    if (e.counter || e.gauge) {
+  if (auto it = metrics_.find(name); it != metrics_.end()) {
+    if (!it->second.histogram) {
       throw std::logic_error("metric '" + name + "' is not a histogram");
     }
-    e.kind = kind;
-    e.histogram.reset(new Histogram(std::move(edges)));
+    return *it->second.histogram;
   }
+  // Construct before inserting: rejected edges must not leave an empty
+  // entry behind for snapshot() to dereference.
+  std::unique_ptr<Histogram> h(new Histogram(std::move(edges)));
+  Entry& e = metrics_[name];
+  e.kind = kind;
+  e.histogram = std::move(h);
   return *e.histogram;
 }
 

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/frame.hpp"
+#include "common/frame.hpp"
 
 namespace dfsssp::service {
 namespace {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <utility>
 
 #include "cdg/verify.hpp"
 #include "common/rng.hpp"
@@ -47,6 +49,155 @@ TEST(Cdg, RemovePathDecrementsEdges) {
   EXPECT_EQ(edges1[0].alive_count, 1U);
   auto edges0 = cdg.out_edges(0);
   EXPECT_EQ(edges0[0].alive_count, 0U);
+}
+
+// Reference CDG: every (u, v) dependency of the members, with the paths
+// that induce it in member order (a path repeating a dependency is listed
+// once per use, as the build does).
+using RefCdg =
+    std::map<std::pair<ChannelId, ChannelId>, std::vector<std::uint32_t>>;
+
+RefCdg reference_cdg(const PathSet& paths,
+                     const std::vector<std::uint32_t>& members) {
+  RefCdg ref;
+  for (std::uint32_t p : members) {
+    auto seq = paths.channels(p);
+    for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+      ref[{seq[i], seq[i + 1]}].push_back(p);
+    }
+  }
+  return ref;
+}
+
+// Checks every observable of `cdg` against the reference; `alive[p]` marks
+// the members not yet removed.
+void expect_matches_reference(const Cdg& cdg, const PathSet& paths,
+                              const RefCdg& ref,
+                              const std::vector<bool>& alive) {
+  ASSERT_EQ(cdg.num_edges(), ref.size());
+  auto it = ref.begin();
+  std::uint32_t e = 0;
+  for (ChannelId u = 0; u < cdg.num_nodes(); ++u) {
+    ASSERT_EQ(cdg.first_edge(u), e) << "u=" << u;
+    for (const Cdg::Edge& edge : cdg.out_edges(u)) {
+      ASSERT_NE(it, ref.end());
+      ASSERT_EQ(it->first, std::make_pair(u, edge.to)) << "edge " << e;
+      EXPECT_EQ(&cdg.edge(e), &edge);
+      EXPECT_EQ(cdg.edge_source(e), u);
+      const std::vector<std::uint32_t>& want = it->second;
+      auto got = cdg.edge_paths(e);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "edge " << e;
+      EXPECT_EQ(edge.path_count, want.size());
+      std::vector<std::uint32_t> want_alive;
+      std::uint64_t want_weight = 0;
+      for (std::uint32_t p : want) {
+        if (!alive[p]) continue;
+        want_alive.push_back(p);
+        want_weight += paths.weight(p);
+      }
+      EXPECT_EQ(edge.alive_count, want_alive.size()) << "edge " << e;
+      EXPECT_EQ(edge.alive_weight, want_weight) << "edge " << e;
+      EXPECT_EQ(cdg.alive_paths(e), want_alive) << "edge " << e;
+      ++it;
+      ++e;
+    }
+  }
+  EXPECT_EQ(it, ref.end());
+  std::uint32_t alive_members = 0;
+  for (std::uint32_t p = 0; p < paths.size(); ++p) {
+    EXPECT_EQ(cdg.path_alive(p), alive[p]) << "path " << p;
+    alive_members += alive[p] ? 1 : 0;
+  }
+  EXPECT_EQ(cdg.alive_members(), alive_members);
+}
+
+TEST(Cdg, EdgePathsFollowMemberOrder) {
+  // Members in descending order: every edge lists its paths the same way.
+  PathSet paths = make_paths({{0, 1, 2}, {0, 1}, {1, 2}, {0, 1, 3}});
+  const std::vector<std::uint32_t> members{3, 2, 1, 0};
+  Cdg cdg(paths, members, 4);
+  ASSERT_EQ(cdg.num_edges(), 3U);  // (0,1) (1,2) (1,3)
+  auto paths01 = cdg.edge_paths(cdg.first_edge(0));
+  EXPECT_EQ(std::vector<std::uint32_t>(paths01.begin(), paths01.end()),
+            (std::vector<std::uint32_t>{3, 1, 0}));
+  auto paths12 = cdg.edge_paths(cdg.first_edge(1));
+  EXPECT_EQ(std::vector<std::uint32_t>(paths12.begin(), paths12.end()),
+            (std::vector<std::uint32_t>{2, 0}));
+  EXPECT_EQ(cdg.out_edges(1)[1].to, 3U);
+}
+
+TEST(Cdg, EmptyMemberListBuildsNoEdges) {
+  PathSet paths = make_paths({{0, 1, 2}, {2, 1}});
+  Cdg cdg(paths, {}, 3);
+  EXPECT_EQ(cdg.num_nodes(), 3U);
+  EXPECT_EQ(cdg.num_edges(), 0U);
+  for (ChannelId u = 0; u < 3; ++u) {
+    EXPECT_TRUE(cdg.out_edges(u).empty());
+    EXPECT_EQ(cdg.first_edge(u), 0U);
+  }
+  EXPECT_EQ(cdg.alive_members(), 0U);
+  EXPECT_FALSE(cdg.path_alive(0));
+  EXPECT_TRUE(cdg.empty_alive());
+}
+
+TEST(Cdg, RandomPathSoupsMatchReference) {
+  Rng rng(0xC0DE);
+  for (int round = 0; round < 200; ++round) {
+    // The top channels are never used: nodes with no out-edges.
+    const auto num_channels =
+        static_cast<std::uint32_t>(4 + rng.next_below(28));
+    const auto used =
+        static_cast<std::uint32_t>(num_channels - rng.next_below(4));
+    PathSet paths;
+    const auto num_paths = static_cast<std::uint32_t>(rng.next_below(80));
+    std::vector<ChannelId> seq;
+    for (std::uint32_t p = 0; p < num_paths; ++p) {
+      // Paths of 0 and 1 channels are mixed in, and some repeat the
+      // previous path exactly.
+      if (p == 0 || rng.next_below(6) != 0) {
+        seq.clear();
+        const auto len = rng.next_below(7);
+        for (std::uint64_t i = 0; i < len; ++i) {
+          seq.push_back(static_cast<ChannelId>(rng.next_below(used)));
+        }
+      }
+      paths.add(p, p, seq, 1 + static_cast<std::uint32_t>(rng.next_below(4)));
+    }
+    // A random subset of the paths, in shuffled (non-ascending) order.
+    std::vector<std::uint32_t> members;
+    for (std::uint32_t p = 0; p < num_paths; ++p) {
+      if (rng.next_below(4) != 0) members.push_back(p);
+    }
+    rng.shuffle(members);
+
+    Cdg cdg(paths, members, num_channels);
+    const RefCdg ref = reference_cdg(paths, members);
+    std::vector<bool> alive(paths.size(), false);
+    for (std::uint32_t p : members) alive[p] = true;
+    expect_matches_reference(cdg, paths, ref, alive);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "round " << round << " after build";
+    }
+
+    // Remove about half of the members, then all of them.
+    for (std::uint32_t p : members) {
+      if (rng.next_below(2) == 0) continue;
+      cdg.remove_path(paths, p);
+      alive[p] = false;
+    }
+    expect_matches_reference(cdg, paths, ref, alive);
+    for (std::uint32_t p : members) {
+      if (!alive[p]) continue;
+      cdg.remove_path(paths, p);
+      alive[p] = false;
+    }
+    expect_matches_reference(cdg, paths, ref, alive);
+    EXPECT_TRUE(cdg.empty_alive());
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "round " << round << " after removals";
+    }
+  }
 }
 
 TEST(CycleFinderTest, FindsNoCycleInDag) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <sstream>
 
 #include "analysis/witness.hpp"
@@ -14,6 +15,12 @@
 
 namespace dfsssp {
 namespace {
+
+// The checker names the offending (source switch, destination terminal)
+// pair; names are formatted only when a path is rejected.
+bool names_a_pair(const std::string& error) {
+  return std::regex_search(error, std::regex("path sw[0-9]+ -> t[0-9]+ "));
+}
 
 Topology routed_random(RouteResponse& out) {
   Rng rng(7);
@@ -61,6 +68,7 @@ TEST(Certificate, ReversedLayerOrderRejected) {
   EXPECT_NE(check.error.find("violates the topological order"),
             std::string::npos)
       << check.error;
+  EXPECT_TRUE(names_a_pair(check.error)) << check.error;
 }
 
 TEST(Certificate, MissingChannelRejected) {
@@ -75,7 +83,11 @@ TEST(Certificate, MissingChannelRejected) {
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
   ASSERT_FALSE(busiest->empty());
   busiest->erase(busiest->begin());
-  EXPECT_FALSE(check_certificate(topo.net, out.table, cert.cert).ok);
+  CertCheckResult check = check_certificate(topo.net, out.table, cert.cert);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("is missing from the order"), std::string::npos)
+      << check.error;
+  EXPECT_TRUE(names_a_pair(check.error)) << check.error;
 }
 
 TEST(Certificate, WrongLayerCountRejected) {
@@ -178,6 +190,13 @@ TEST(Certificate, CyclicLayerReportedWithWitness) {
     EXPECT_GE(e.inducing_paths, 1u);
     ASSERT_FALSE(e.examples.empty());
     EXPECT_LE(e.examples.size(), e.inducing_paths);
+    // The layer's members are collected in ascending path order, and the
+    // CDG lists an edge's paths in member order.
+    EXPECT_TRUE(std::is_sorted(
+        e.examples.begin(), e.examples.end(),
+        [](const WitnessPathRef& a, const WitnessPathRef& b) {
+          return a.path < b.path;
+        }));
   }
 
   std::ostringstream os;

@@ -218,6 +218,11 @@ TEST(ObsRegistry, RejectsUnsortedHistogramEdges) {
                std::logic_error);
   EXPECT_THROW(obs::registry().histogram("test/bad_edges2", {7, 3}),
                std::logic_error);
+  // A rejected registration leaves no entry behind: snapshot() must not
+  // trip over it, and the names stay free.
+  const obs::Snapshot snap = obs::registry().snapshot();
+  EXPECT_EQ(snap.count("test/bad_edges"), 0u);
+  EXPECT_EQ(snap.count("test/bad_edges2"), 0u);
 }
 
 TEST(ObsRegistry, ExponentialBucketsAscendStrictly) {

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 
+#include "common/frame.hpp"
 #include "fault/churn.hpp"
 #include "fault/incremental.hpp"
 #include "fault/schedule.hpp"
@@ -29,7 +30,6 @@
 #include "obs/metrics.hpp"
 #include "service/core.hpp"
 #include "service/envelope.hpp"
-#include "service/frame.hpp"
 #include "service/replay.hpp"
 #include "service/server.hpp"
 #include "topology/generators.hpp"

@@ -21,11 +21,11 @@
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/frame.hpp"
 #include "fault/schedule.hpp"
 #include "obs/journal/journal.hpp"
 #include "obs/report/json_value.hpp"
 #include "service/envelope.hpp"
-#include "service/frame.hpp"
 
 namespace {
 
