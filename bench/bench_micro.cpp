@@ -4,7 +4,6 @@
 // first-fit over layers), the heap, and one congestion-simulation pattern.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <numeric>
 
 #include "cdg/cdg.hpp"
@@ -116,28 +115,19 @@ void BM_CdgBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CdgBuild);
 
-// DFSSSP(online)'s first-fit over per-layer OnlineCdgs on the same fabric,
-// where almost every reorder ends in a cycle reject.
+// DFSSSP(online)'s first-fit (FirstFitLayerer) on the same fabric, where
+// almost every reorder ends in a cycle reject.
 void BM_OnlineFirstFit(benchmark::State& state) {
   constexpr Layer kMaxLayers = 16;
   const Fig9Paths fabric = fig9_paths();
   const PathSet& paths = fabric.paths;
-  const std::uint32_t num_channels = fabric.num_channels;
   for (auto _ : state) {
-    std::vector<std::unique_ptr<OnlineCdg>> layers;
+    FirstFitLayerer layers(fabric.num_channels, kMaxLayers);
     std::uint64_t placed = 0;
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
       auto seq = paths.channels(p);
       if (seq.size() < 2) continue;
-      for (Layer l = 0; l < kMaxLayers; ++l) {
-        if (l == layers.size()) {
-          layers.push_back(std::make_unique<OnlineCdg>(num_channels));
-        }
-        if (layers[l]->try_add_path(seq)) {
-          ++placed;
-          break;
-        }
-      }
+      placed += layers.place(seq) != kInvalidLayer ? 1 : 0;
     }
     benchmark::DoNotOptimize(placed);
   }

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "cdg/online.hpp"
+
 namespace dfsssp::app {
 
 namespace {
@@ -113,24 +115,13 @@ std::uint32_t exact_min_layers(const Instance& inst, std::uint32_t max_k) {
 }
 
 std::uint32_t first_fit_layers(const Instance& inst, std::uint32_t max_k) {
-  std::vector<std::vector<std::uint32_t>> classes;
-  for (std::uint32_t p = 0; p < inst.paths.size(); ++p) {
-    bool placed = false;
-    for (auto& cls : classes) {
-      cls.push_back(p);
-      if (union_is_acyclic(inst, cls)) {
-        placed = true;
-        break;
-      }
-      cls.pop_back();
-    }
-    if (!placed) {
-      if (classes.size() == max_k) return 0;
-      classes.push_back({p});
-      if (!union_is_acyclic(inst, classes.back())) return 0;  // self-cycle
-    }
+  FirstFitLayerer classes(inst.num_nodes,
+                          static_cast<Layer>(std::min<std::uint32_t>(
+                              max_k, kInvalidLayer)));
+  for (const Path& path : inst.paths) {
+    if (classes.place(path) == kInvalidLayer) return 0;
   }
-  return static_cast<std::uint32_t>(std::max<std::size_t>(classes.size(), 1));
+  return classes.layers_used();
 }
 
 Instance reduction_from_coloring(

@@ -42,7 +42,8 @@ bool is_cover(const Instance& inst, std::span<const std::uint32_t> assignment,
 /// <= max_k classes exists. Exponential — small instances only.
 std::uint32_t exact_min_layers(const Instance& inst, std::uint32_t max_k);
 
-/// Greedy first-fit upper bound; returns 0 when max_k is exceeded.
+/// Greedy first-fit upper bound (FirstFitLayerer, classes capped at 255);
+/// returns 0 when max_k is exceeded.
 std::uint32_t first_fit_layers(const Instance& inst, std::uint32_t max_k);
 
 /// Theorem 1's polynomial transformation: undirected graph -> APP instance

@@ -101,4 +101,46 @@ class OnlineCdg {
   std::uint64_t num_cycle_rejects_ = 0;
 };
 
+/// First-fit of whole paths into virtual layers, one OnlineCdg per layer,
+/// opened on demand up to the budget: a path goes to the lowest layer whose
+/// CDG stays acyclic with it. DFSSSP's online mode, LASH, the incremental
+/// repair and the APP first-fit bound all layer through this class. It
+/// places every path it is given, including ones without dependencies.
+class FirstFitLayerer {
+ public:
+  FirstFitLayerer(std::uint32_t num_channels, Layer max_layers)
+      : num_channels_(num_channels), max_layers_(max_layers) {}
+
+  /// The path's layer, or kInvalidLayer (nothing added) when no layer
+  /// within the budget takes it.
+  Layer place(std::span<const ChannelId> path);
+  /// Paths that must share one layer (LASH: both directions of a switch
+  /// pair); a layer that rejects one of them gives back the ones it took.
+  Layer place(std::span<const std::span<const ChannelId>> group);
+  /// Takes back a path placed in `layer`.
+  void remove(std::span<const ChannelId> path, Layer layer) {
+    layers_[layer].remove_path(path);
+  }
+
+  /// One past the highest layer holding a path; 1 when none does.
+  Layer layers_used() const;
+  /// The layer's channels in a topological order of its CDG (empty for a
+  /// layer never opened).
+  std::vector<ChannelId> topological_order(Layer layer) const;
+
+  /// Work since construction: (path or group, layer) attempts, and the
+  /// OnlineCdg counters summed over the layers.
+  struct Work {
+    std::uint64_t attempts = 0, insertions = 0, reorders = 0;
+    std::uint64_t search_visits = 0, cycle_rejects = 0;
+  };
+  Work work() const;
+
+ private:
+  std::uint32_t num_channels_;
+  Layer max_layers_;
+  std::vector<OnlineCdg> layers_;
+  std::uint64_t attempts_ = 0;
+};
+
 }  // namespace dfsssp

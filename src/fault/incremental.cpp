@@ -9,10 +9,6 @@
 
 namespace dfsssp {
 
-namespace {
-constexpr std::uint64_t kInf = ~0ULL;
-}
-
 IncrementalDfsssp::IncrementalDfsssp(IncrementalOptions options)
     : options_(options) {}
 
@@ -21,19 +17,21 @@ void IncrementalDfsssp::reset(const Topology& topo, Layer max_layers) {
   max_layers_ = max_layers;
   const Network& net = topo.net;
   table_ = RoutingTable(net);
-  // Same initial weight as sssp_fill_planes: |V|^2 forces minimal paths,
-  // and because retraction subtracts exactly what was added, the total
-  // balance weight on any channel stays below |V|^2 across any fault
-  // history — repairs keep producing minimal paths.
-  const std::uint64_t n = net.num_nodes();
-  weight_.assign(net.num_channels(), n * n);
-  layers_.clear();
+  // Algorithm 1's |V|^2 initial weight forces minimal paths, and because
+  // retraction subtracts exactly what was added, the total balance weight
+  // on any channel stays below |V|^2 across any fault history — repairs
+  // keep producing minimal paths.
+  weight_.assign(net.num_channels(), sssp_initial_weight(net));
+  layers_ = FirstFitLayerer(static_cast<std::uint32_t>(net.num_channels()),
+                            max_layers);
   dest_.assign(net.num_terminals(), {});
   certificate_ = {};
-  dist_.assign(net.num_switches(), kInf);
-  parent_.assign(net.num_switches(), kInvalidChannel);
-  order_.assign(net.num_switches(), 0);
-  subtree_.assign(net.num_switches(), 0);
+}
+
+void IncrementalDfsssp::start_call() {
+  dijkstra_seconds_ = layering_seconds_ = 0.0;
+  sssp_.work = {};
+  layer_work_at_start_ = layers_.work();
 }
 
 void IncrementalDfsssp::retract_destination(std::uint32_t ti) {
@@ -44,7 +42,7 @@ void IncrementalDfsssp::retract_destination(std::uint32_t ti) {
     for (std::size_t e = 0; e < dp.src.size(); ++e) {
       const std::span<const ChannelId> seq{dp.channels.data() + dp.offset[e],
                                            dp.offset[e + 1] - dp.offset[e]};
-      if (seq.size() >= 2) layers_[dp.layer[e]]->remove_path(seq);
+      if (seq.size() >= 2) layers_.remove(seq, dp.layer[e]);
       const std::uint64_t w = net.terminals_on(net.switch_by_index(dp.src[e]));
       for (ChannelId c : seq) weight_[c] -= w;
     }
@@ -60,89 +58,38 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
     std::uint32_t ti, std::string& error) {
   const Network& net = topo_->net;
   const NodeId d = net.terminal_by_index(ti);
-  const NodeId dst_switch = net.switch_of(d);
-  const std::uint32_t dst_index = net.node(dst_switch).type_index;
-  const std::size_t num_sw = net.num_switches();
   Timer timer;
-
-  // Weighted Dijkstra outward from the destination switch over the alive
-  // adjacency; dead switches are never reached because every channel
-  // touching them is filtered out.
-  std::fill(dist_.begin(), dist_.end(), kInf);
-  std::fill(parent_.begin(), parent_.end(), kInvalidChannel);
-  heap_.reset(num_sw);
-  dist_[dst_index] = 0;
-  heap_.push(0, dst_index);
-  std::size_t settled = 0;
-  while (!heap_.empty()) {
-    auto [du, u_index] = heap_.pop();
-    order_[settled++] = u_index;
-    const NodeId u = net.switch_by_index(u_index);
-    for (ChannelId c : net.out_switch_channels(u)) {
-      const NodeId v = net.channel(c).dst;
-      const std::uint32_t v_index = net.node(v).type_index;
-      const ChannelId fwd = net.channel(c).reverse;  // v -> u, toward dst
-      const std::uint64_t cand = du + weight_[fwd];
-      if (cand < dist_[v_index]) {
-        dist_[v_index] = cand;
-        parent_[v_index] = fwd;
-        heap_.push_or_decrease(cand, v_index);
-      }
-    }
-  }
+  const std::size_t settled = sssp_destination(
+      net, net.switch_of(d), weight_, /*update_weights=*/true, sssp_);
   if (settled != net.num_alive_switches()) {
     error = "alive network is disconnected";
     return DestStatus::kDisconnected;
   }
-
-  for (std::size_t i = 1; i < settled; ++i) {  // order_[0] == dst
-    table_.set_next(net.switch_by_index(order_[i]), d, parent_[order_[i]]);
-  }
-
-  // Algorithm 1's weight update, restricted to the alive subgraph: channel
-  // weights grow by the number of (alive terminal, d) paths crossing them.
-  for (std::size_t i = 0; i < settled; ++i) {
-    subtree_[order_[i]] = net.terminals_on(net.switch_by_index(order_[i]));
-  }
-  for (std::size_t i = settled; i-- > 1;) {
-    const std::uint32_t v_index = order_[i];
-    const ChannelId fwd = parent_[v_index];
-    weight_[fwd] += subtree_[v_index];
-    const NodeId next_sw = net.channel(fwd).dst;
-    subtree_[net.node(next_sw).type_index] += subtree_[v_index];
+  for (std::size_t i = 1; i < settled; ++i) {  // order[0] == dst
+    const std::uint32_t s = sssp_.order[i];
+    table_.set_next(net.switch_by_index(s), d, sssp_.parent[s]);
   }
   dijkstra_seconds_ += timer.seconds();
 
   // Store the terminal-bearing sources' channel sequences and first-fit
-  // them into the persistent per-layer CDGs — ascending switch index, so a
-  // repair is one deterministic serial pass.
+  // them into the persistent layers — ascending switch index, so a repair
+  // is one deterministic serial pass.
   Timer layering_timer;
   DestPaths dp;
-  const std::uint32_t num_channels =
-      static_cast<std::uint32_t>(net.num_channels());
   std::vector<ChannelId> seq;
-  for (std::uint32_t s = 0; s < num_sw; ++s) {
-    if (s == dst_index || dist_[s] == kInf) continue;
+  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
+    // Skips the destination and unreached (dead) switches.
+    if (sssp_.parent[s] == kInvalidChannel) continue;
     const NodeId sw = net.switch_by_index(s);
     if (net.terminals_on(sw) == 0) continue;
     seq.clear();
-    for (ChannelId c = parent_[s]; c != kInvalidChannel;
-         c = parent_[net.node(net.channel(c).dst).type_index]) {
+    for (ChannelId c = sssp_.parent[s]; c != kInvalidChannel;
+         c = sssp_.parent[net.node(net.channel(c).dst).type_index]) {
       seq.push_back(c);
     }
     Layer assigned = 0;
     if (seq.size() >= 2) {
-      assigned = kInvalidLayer;
-      for (Layer l = 0; l < max_layers_; ++l) {
-        if (l == layers_.size()) {
-          layers_.push_back(std::make_unique<OnlineCdg>(num_channels));
-        }
-        ++acyclicity_checks_;
-        if (layers_[l]->try_add_path(seq)) {
-          assigned = l;
-          break;
-        }
-      }
+      assigned = layers_.place(seq);
       if (assigned == kInvalidLayer) {
         error = "ran out of virtual layers (" + std::to_string(max_layers_) +
                 ")";
@@ -163,25 +110,6 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
   return DestStatus::kOk;
 }
 
-Layer IncrementalDfsssp::scan_layers_used() const {
-  Layer used = 1;
-  for (const DestPaths& dp : dest_) {
-    for (Layer l : dp.layer) {
-      used = std::max(used, static_cast<Layer>(l + 1));
-    }
-  }
-  return used;
-}
-
-IncrementalDfsssp::SearchWork IncrementalDfsssp::search_work() const {
-  SearchWork work;
-  for (const auto& l : layers_) {
-    work.visits += l->num_search_visits();
-    work.rejects += l->num_cycle_rejects();
-  }
-  return work;
-}
-
 std::uint64_t IncrementalDfsssp::count_paths() const {
   std::uint64_t routed = 0;
   for (const DestPaths& dp : dest_) routed += dp.routed ? 1 : 0;
@@ -192,22 +120,20 @@ std::uint64_t IncrementalDfsssp::count_paths() const {
 RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
                                         RouteResponse out) {
   const Network& net = topo_->net;
-  const Layer layers_used = scan_layers_used();
+  const Layer layers_used = layers_.layers_used();
   table_.set_num_layers(layers_used);
 
-  if (options_.emit_certificate) {
-    // The persistent per-layer OnlineCdgs already maintain a topological
-    // order (Pearce-Kelly invariant), so the certificate falls out of the
-    // repair for free — no Kahn re-sort over the whole path set.
-    Timer cert_timer;
-    certificate_ = {};
-    certificate_.num_layers = layers_used;
-    certificate_.order.resize(layers_used);
-    for (Layer l = 0; l < layers_used && l < layers_.size(); ++l) {
-      certificate_.order[l] = layers_[l]->topological_order();
-    }
-    layering_seconds_ += cert_timer.seconds();
+  // The persistent layers already maintain topological orders (the
+  // Pearce-Kelly invariant), so the certificate falls out of the repair
+  // for free — no Kahn re-sort over the whole path set.
+  Timer cert_timer;
+  certificate_ = {};
+  certificate_.num_layers = layers_used;
+  certificate_.order.resize(layers_used);
+  for (Layer l = 0; l < layers_used; ++l) {
+    certificate_.order[l] = layers_.topological_order(l);
   }
+  layering_seconds_ += cert_timer.seconds();
 
   out.ok = true;
   out.table = table_;
@@ -217,21 +143,30 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
   out.stats.paths = count_paths();
 
   obs::Registry& sink = request.sink();
-  if (acyclicity_checks_ > 0) {
-    sink.counter("fault/acyclicity_checks").add(acyclicity_checks_);
+  // Registry only: the profile attributes SSSP work to sssp/fill_planes.
+  if (sssp_.work.passes > 0) sssp_.work.flush(sink);
+  const FirstFitLayerer::Work work = layers_.work();
+  const std::uint64_t checks = work.attempts - layer_work_at_start_.attempts;
+  if (checks > 0) {
+    sink.counter("fault/acyclicity_checks").add(checks);
     // finish() runs inside the fault/route_full or fault/repair span, so
     // the re-layer attempts attribute to whichever path ran.
-    PROF_COUNT("fault/acyclicity_checks", acyclicity_checks_);
-    const SearchWork work = search_work();
+    PROF_COUNT("fault/acyclicity_checks", checks);
     sink.counter("cdg/pk_search_visits")
-        .add(work.visits - search_work_at_start_.visits);
+        .add(work.search_visits - layer_work_at_start_.search_visits);
     sink.counter("cdg/pk_cycle_rejects")
-        .add(work.rejects - search_work_at_start_.rejects);
+        .add(work.cycle_rejects - layer_work_at_start_.cycle_rejects);
   }
   sink.gauge("fault/active_paths").set(out.stats.paths);
   sink.gauge("fault/layers_used").set(layers_used);
   sink.gauge("fault/dead_channels").set(net.num_dead_channels());
   return out;
+}
+
+RouteResponse IncrementalDfsssp::fail(const std::string& error) {
+  topo_ = nullptr;
+  certificate_ = {};
+  return RouteResponse::failure("dfsssp-inc: " + error);
 }
 
 RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
@@ -241,19 +176,14 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
   ScopedTimer phase_timer(h_route_full_ns);
   const Topology& topo = request.topo();
   reset(topo, request.layer_budget(options_.max_layers));
-  dijkstra_seconds_ = layering_seconds_ = 0.0;
-  acyclicity_checks_ = 0;
-  search_work_at_start_ = {};
+  start_call();
   const Network& net = topo.net;
 
   RouteResponse out;
   std::string error;
   for (std::uint32_t ti = 0; ti < net.num_terminals(); ++ti) {
     if (!net.terminal_alive(net.terminal_by_index(ti))) continue;
-    const DestStatus st = route_destination(ti, error);
-    if (st != DestStatus::kOk) {
-      return RouteResponse::failure("dfsssp-inc: " + error);
-    }
+    if (route_destination(ti, error) != DestStatus::kOk) return fail(error);
   }
   out.repair.destinations_rerouted =
       static_cast<std::uint32_t>(std::count_if(
@@ -287,9 +217,7 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
     return full_fallback("switch revived");
   }
 
-  dijkstra_seconds_ = layering_seconds_ = 0.0;
-  acyclicity_checks_ = 0;
-  search_work_at_start_ = search_work();
+  start_call();
   const Network& net = topo_->net;
   RouteResponse out;
   out.repair.incremental = true;
@@ -332,9 +260,7 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
     if (st == DestStatus::kOverflow) {
       return full_fallback("layer overflow during repair: " + error);
     }
-    if (st == DestStatus::kDisconnected) {
-      return RouteResponse::failure("dfsssp-inc: " + error);
-    }
+    if (st == DestStatus::kDisconnected) return fail(error);
     migrated += dest_[ti].src.size();
   }
 

@@ -5,15 +5,16 @@
 // forwarding localizes a fault's blast radius: a dead channel only breaks
 // the forwarding trees whose next-hop chains traverse it. IncrementalDfsssp
 // exploits that — it keeps the channel weight map, the per-destination
-// channel sequences and one OnlineCdg (Pearce-Kelly) per virtual layer
-// alive across faults, and on a ChurnDelta:
+// channel sequences and a FirstFitLayerer (one Pearce-Kelly OnlineCdg per
+// virtual layer) alive across faults, and on a ChurnDelta:
 //
 //   1. drops destinations that died with their switch,
 //   2. invalidates exactly the destinations whose forwarding entries use a
 //      downed channel (one scan of the table columns),
-//   3. re-runs weighted SSSP for just those destinations (in destination
-//      index order, so repair is deterministic and thread-count invariant),
-//   4. re-layers the fresh paths first-fit into the persistent online CDGs,
+//   3. re-runs the SSSP kernel (sssp_destination) for just those
+//      destinations (in destination index order, so repair is
+//      deterministic and thread-count invariant),
+//   4. re-layers the fresh paths first-fit into the persistent layers,
 //   5. falls back to a full recompute only when a layer overflows or a
 //      switch comes back up (a revived switch needs forwarding entries for
 //      every destination, which is a full recompute by definition),
@@ -22,29 +23,27 @@
 // independent checker (analysis/certificate.hpp) can audit each churn step
 // exactly like a from-scratch run.
 //
-// The engine speaks the unified RouteRequest/RouteResponse API; repairs
-// report their provenance in RouteResponse::repair.
+// A failed route() or repair() unbinds the engine, so the next repair is a
+// full recompute. The engine speaks the unified RouteRequest/RouteResponse
+// API, flushes its counters into the request's sink and reports a repair's
+// provenance in RouteResponse::repair.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/certificate.hpp"
 #include "cdg/online.hpp"
-#include "common/heap.hpp"
 #include "fault/churn.hpp"
 #include "routing/router.hpp"
+#include "routing/sssp.hpp"
 
 namespace dfsssp {
 
 struct IncrementalOptions {
   /// Default virtual-layer budget; RouteRequest::max_layers overrides.
   Layer max_layers = 8;
-  /// Build a fresh certificate on every route()/repair(). Off only for
-  /// microbenchmarks that never audit the result.
-  bool emit_certificate = true;
 };
 
 class IncrementalDfsssp {
@@ -62,8 +61,7 @@ class IncrementalDfsssp {
   /// repair in place.
   RouteResponse repair(const RouteRequest& request, const ChurnDelta& delta);
 
-  /// The certificate of the current table (empty when emit_certificate is
-  /// off or nothing was routed yet).
+  /// The certificate of the current table (empty before the first route).
   const Certificate& certificate() const { return certificate_; }
 
  private:
@@ -82,20 +80,15 @@ class IncrementalDfsssp {
   };
 
   void reset(const Topology& topo, Layer max_layers);
-  /// Retracts a destination's paths from the CDGs and the weight map and
+  void start_call();  // zeroes the per-call accumulators
+  /// Retracts a destination's paths from the layers and the weight map and
   /// clears its table column.
   void retract_destination(std::uint32_t ti);
-  /// Weighted Dijkstra from the destination's switch, weight update, path
-  /// storage and first-fit layering. `error` is set on failure.
+  /// The SSSP kernel from the destination's switch, path storage and
+  /// first-fit layering. `error` is set on failure.
   DestStatus route_destination(std::uint32_t ti, std::string& error);
-  Layer scan_layers_used() const;
-  /// Pearce-Kelly search work summed over the layer CDGs.
-  struct SearchWork {
-    std::uint64_t visits = 0;
-    std::uint64_t rejects = 0;
-  };
-  SearchWork search_work() const;
   RouteResponse finish(const RouteRequest& request, RouteResponse out);
+  RouteResponse fail(const std::string& error);  // unbinds the engine
   std::uint64_t count_paths() const;
 
   IncrementalOptions options_;
@@ -105,24 +98,17 @@ class IncrementalDfsssp {
   Layer max_layers_ = 0;
   RoutingTable table_;
   std::vector<std::uint64_t> weight_;  // per channel, persistent
-  std::vector<std::unique_ptr<OnlineCdg>> layers_;
+  FirstFitLayerer layers_{0, 0};
   std::vector<DestPaths> dest_;  // per terminal index
   Certificate certificate_;
+  SsspScratch sssp_;  // reused across destinations
 
-  // Dijkstra scratch, reused across destinations.
-  std::vector<std::uint64_t> dist_;
-  std::vector<ChannelId> parent_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint64_t> subtree_;
-  MinHeap<std::uint64_t> heap_;
-
-  // Per-call accumulators (reset at the top of route()/repair()).
+  // Per-call accumulators (set by start_call()). The layers persist across
+  // repairs, so finish() flushes the layering work done since
+  // `layer_work_at_start_`, not the running totals.
   double dijkstra_seconds_ = 0.0;
   double layering_seconds_ = 0.0;
-  std::uint64_t acyclicity_checks_ = 0;
-  // The layer CDGs persist across repairs, so finish() flushes the search
-  // work done since this snapshot, not the CDGs' running totals.
-  SearchWork search_work_at_start_;
+  FirstFitLayerer::Work layer_work_at_start_;
 };
 
 }  // namespace dfsssp

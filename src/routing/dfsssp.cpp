@@ -1,7 +1,5 @@
 #include "routing/dfsssp.hpp"
 
-#include <memory>
-
 #include "cdg/online.hpp"
 #include "cdg/verify.hpp"
 #include "common/timer.hpp"
@@ -16,7 +14,8 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
   const Layer max_layers = request.layer_budget(options_.max_layers);
-  RouteResponse out = route_sssp(net, SsspOptions{.balance = true});
+  RouteResponse out =
+      route_sssp(net, SsspOptions{.balance = true}, request.sink());
   if (!out.ok) return out;
 
   TRACE_SPAN("dfsssp/layering");
@@ -24,8 +23,8 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
       obs::registry().timing_histogram("dfsssp/layering_ns");
   ScopedTimer phase_timer(h_layering_ns);
   Timer timer;
-  std::uint64_t acyclicity_checks = 0, pk_reorders = 0;
-  std::uint64_t pk_search_visits = 0, pk_cycle_rejects = 0;
+  std::uint64_t acyclicity_checks = 0;
+  FirstFitLayerer::Work work;
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
   PathSet paths = collect_paths(net, out.table);
@@ -34,37 +33,21 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   Layer layers_used = 1;
   if (options_.mode == LayeringMode::kOnline) {
     layer.assign(paths.size(), 0);
-    std::vector<std::unique_ptr<OnlineCdg>> layers;
+    FirstFitLayerer layers(num_channels, max_layers);
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
       auto seq = paths.channels(p);
       if (seq.size() < 2) continue;  // no dependencies, stays in layer 0
-      Layer assigned = kInvalidLayer;
-      for (Layer l = 0; l < max_layers; ++l) {
-        if (l == layers.size()) {
-          layers.push_back(std::make_unique<OnlineCdg>(num_channels));
-        }
-        ++acyclicity_checks;
-        if (layers[l]->try_add_path(seq)) {
-          assigned = l;
-          break;
-        }
-      }
-      if (assigned == kInvalidLayer) {
+      layer[p] = layers.place(seq);
+      if (layer[p] == kInvalidLayer) {
         return RouteResponse::failure(
             "DFSSSP(online): ran out of virtual layers (" +
             std::to_string(max_layers) + ")");
       }
-      layer[p] = assigned;
-      layers_used = std::max(layers_used, static_cast<Layer>(assigned + 1));
     }
-    std::uint64_t cdg_insertions = 0;
-    for (const auto& l : layers) {
-      pk_reorders += l->num_reorders();
-      pk_search_visits += l->num_search_visits();
-      pk_cycle_rejects += l->num_cycle_rejects();
-      cdg_insertions += l->num_insertions();
-    }
-    PROF_COUNT("cdg/edge_insertions", cdg_insertions);
+    layers_used = layers.layers_used();
+    work = layers.work();
+    acyclicity_checks = work.attempts;
+    PROF_COUNT("cdg/edge_insertions", work.insertions);
     if (options_.balance) {
       layers_used =
           balance_layers(paths, layer, layers_used, max_layers);
@@ -129,11 +112,11 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
     // Re-layer attempts, attributed to the dfsssp/layering span.
     PROF_COUNT("dfsssp/acyclicity_checks", acyclicity_checks);
   }
-  if (pk_reorders > 0) {
-    sink.counter("dfsssp/pk_reorders").add(pk_reorders);
-    PROF_COUNT("dfsssp/pk_reorders", pk_reorders);
-    sink.counter("cdg/pk_search_visits").add(pk_search_visits);
-    sink.counter("cdg/pk_cycle_rejects").add(pk_cycle_rejects);
+  if (work.reorders > 0) {
+    sink.counter("dfsssp/pk_reorders").add(work.reorders);
+    PROF_COUNT("dfsssp/pk_reorders", work.reorders);
+    sink.counter("cdg/pk_search_visits").add(work.search_visits);
+    sink.counter("cdg/pk_cycle_rejects").add(work.cycle_rejects);
   }
   sink.gauge("dfsssp/layers_used").set(layers_used);
   return out;

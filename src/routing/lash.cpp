@@ -1,7 +1,5 @@
 #include "routing/lash.hpp"
 
-#include <memory>
-
 #include "cdg/online.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -69,12 +67,9 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
   // level serves the bidirectional communication of a pair, so both
   // directions' dependency edges must fit the same layer (as in the LASH
   // paper and the OpenSM engine).
-  std::vector<std::unique_ptr<OnlineCdg>> layers;
-  const std::uint32_t num_channels =
-      static_cast<std::uint32_t>(net.num_channels());
-  std::uint64_t layer_attempts = 0;
+  FirstFitLayerer layers(static_cast<std::uint32_t>(net.num_channels()),
+                         max_layers);
   std::vector<ChannelId> fwd_seq, rev_seq;
-  Layer used = 1;
   for (NodeId a : net.switches()) {
     for (NodeId b : net.switches()) {
       if (b <= a) continue;
@@ -90,39 +85,25 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
       if (!terms_a.empty() && !out.table.extract_path(net, b, terms_a.front(), rev_seq)) {
         return RouteResponse::failure("broken forwarding");
       }
-      Layer assigned = kInvalidLayer;
-      for (Layer l = 0; l < max_layers; ++l) {
-        if (l == layers.size()) {
-          layers.push_back(std::make_unique<OnlineCdg>(num_channels));
-        }
-        ++layer_attempts;
-        if (!layers[l]->try_add_path(fwd_seq)) continue;
-        if (!layers[l]->try_add_path(rev_seq)) {
-          layers[l]->remove_path(fwd_seq);
-          continue;
-        }
-        assigned = l;
-        break;
-      }
+      const std::span<const ChannelId> pair[] = {fwd_seq, rev_seq};
+      const Layer assigned = layers.place(pair);
       if (assigned == kInvalidLayer) {
         return RouteResponse::failure(
             "LASH: ran out of virtual layers (" +
             std::to_string(max_layers) + ")");
       }
-      used = std::max(used, static_cast<Layer>(assigned + 1));
       for (NodeId t : terms_b) out.table.set_layer(a, t, assigned);
       for (NodeId t : terms_a) out.table.set_layer(b, t, assigned);
       out.stats.paths += (terms_b.empty() ? 0 : 1) + (terms_a.empty() ? 0 : 1);
     }
   }
-  out.table.set_num_layers(used);
-  out.stats.layers_used = used;
+  out.table.set_num_layers(layers.layers_used());
+  out.stats.layers_used = layers.layers_used();
   out.stats.layering_seconds = timer.seconds();
   // Deterministic layering cost, attributed to the lash/route span.
-  std::uint64_t cdg_insertions = 0;
-  for (const auto& l : layers) cdg_insertions += l->num_insertions();
-  PROF_COUNT("lash/layer_attempts", layer_attempts);
-  PROF_COUNT("cdg/edge_insertions", cdg_insertions);
+  const FirstFitLayerer::Work work = layers.work();
+  PROF_COUNT("lash/layer_attempts", work.attempts);
+  PROF_COUNT("cdg/edge_insertions", work.insertions);
   out.ok = true;
   return out;
 }

@@ -1,20 +1,89 @@
 #include "routing/sssp.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <span>
 
-#include "common/heap.hpp"
 #include "common/timer.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/spath.hpp"
 
 namespace dfsssp {
 
+void SsspWork::flush(obs::Registry& sink) const {
+  sink.counter("sssp/dijkstra_passes").add(passes);
+  sink.counter("sssp/heap_pops").add(pops);
+  sink.counter("sssp/heap_pushes").add(pushes);
+  sink.counter("sssp/relaxations").add(relaxations);
+}
+
+std::size_t sssp_destination(const Network& net, NodeId dst_switch,
+                             std::span<std::uint64_t> weight,
+                             bool update_weights, SsspScratch& scratch) {
+  const std::size_t num_sw = net.num_switches();
+  std::vector<std::uint64_t>& dist = scratch.dist;
+  std::vector<ChannelId>& parent = scratch.parent;
+  std::vector<std::uint32_t>& order = scratch.order;
+  MinHeap<std::uint64_t>& heap = scratch.heap;
+  constexpr std::uint64_t kUnreached = ~0ULL;
+  dist.assign(num_sw, kUnreached);
+  parent.assign(num_sw, kInvalidChannel);
+  order.resize(num_sw);
+  heap.reset(num_sw);
+  // Heap traffic is tallied in locals and added to the scratch once, so
+  // the inner loop sees plain register increments.
+  std::uint64_t pops = 0, pushes = 1, relaxations = 0;
+
+  // Dead switches are never reached: the adjacency shows alive channels
+  // only. Packets flow toward the destination, so the forwarding channel
+  // of v is the reverse of the channel that relaxed it.
+  const std::uint32_t dst_index = net.node(dst_switch).type_index;
+  dist[dst_index] = 0;
+  heap.push(0, dst_index);
+  std::size_t settled = 0;
+  while (!heap.empty()) {
+    auto [du, u_index] = heap.pop();
+    ++pops;
+    order[settled++] = u_index;
+    for (ChannelId c : net.out_switch_channels(net.switch_by_index(u_index))) {
+      const std::uint32_t v_index = net.node(net.channel(c).dst).type_index;
+      const ChannelId fwd = net.channel(c).reverse;  // v -> u
+      const std::uint64_t cand = du + weight[fwd];
+      if (cand < dist[v_index]) {
+        // A relaxation from unreached is a fresh heap insert; any other
+        // is a decrease-key on an already-queued switch.
+        pushes += dist[v_index] == kUnreached ? 1 : 0;
+        dist[v_index] = cand;
+        parent[v_index] = fwd;
+        heap.push_or_decrease(cand, v_index);
+        ++relaxations;
+      }
+    }
+  }
+  scratch.work.passes += 1;
+  scratch.work.pops += pops;
+  scratch.work.pushes += pushes;
+  scratch.work.relaxations += relaxations;
+
+  if (update_weights) {
+    // Algorithm 1's weight update: every channel's weight grows by the
+    // number of (terminal, destination) paths crossing it. Accumulate
+    // subtree terminal counts from the farthest settled switch inward.
+    std::vector<std::uint64_t>& subtree = scratch.subtree;
+    subtree.resize(num_sw);
+    for (std::size_t i = 0; i < settled; ++i) {
+      subtree[order[i]] = net.terminals_on(net.switch_by_index(order[i]));
+    }
+    for (std::size_t i = settled; i-- > 1;) {  // order[0] == dst, skip it
+      const std::uint32_t v_index = order[i];
+      const ChannelId fwd = parent[v_index];
+      weight[fwd] += subtree[v_index];
+      subtree[net.node(net.channel(fwd).dst).type_index] += subtree[v_index];
+    }
+  }
+  return settled;
+}
+
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
-                      std::string& error) {
+                      std::string& error, obs::Registry& sink) {
   TRACE_SPAN("sssp/fill_planes");
   // Phase timing for the run reports' timing_metrics section: what --trace
   // records as a span, --json reports as a histogram sample. Static
@@ -23,119 +92,48 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
       obs::registry().timing_histogram("sssp/fill_planes_ns");
   ScopedTimer phase_timer(h_fill_ns);
   Timer timer;
-  // Heap traffic is aggregated in locals and flushed once per call, so the
-  // Dijkstra inner loop sees plain register increments, not atomics.
-  std::uint64_t num_passes = 0, num_pops = 0, num_relaxations = 0;
-  std::uint64_t num_pushes = 0;
   const std::size_t num_sw = net.num_switches();
-  const std::uint64_t n = net.num_nodes();
-  // Initial weight |V|^2 forces minimal paths (§II): the extra weight a
-  // channel can accrue over the whole run stays below the cost of one
-  // additional channel on a detour.
-  const std::uint64_t initial_weight =
-      options.initial_weight != 0 ? options.initial_weight
-                                  : n * n * planes.size();
-  std::vector<std::uint64_t> weight(net.num_channels(), initial_weight);
-
-  std::vector<std::uint64_t> dist(num_sw);
-  std::vector<ChannelId> parent(num_sw);        // forwarding channel toward dst
-  std::vector<std::uint32_t> order(num_sw);     // switches by settle order
-  std::vector<std::uint64_t> subtree(num_sw);   // path-count accumulation
-  MinHeap<std::uint64_t> heap(num_sw);
-  constexpr std::uint64_t kInf = ~0ULL;
+  std::vector<std::uint64_t> weight(
+      net.num_channels(), options.initial_weight != 0
+                              ? options.initial_weight
+                              : sssp_initial_weight(net, planes.size()));
+  SsspScratch scratch;
 
   for (NodeId d : net.terminals()) {
     const NodeId dst_switch = net.switch_of(d);
-    const std::uint32_t dst_index = net.node(dst_switch).type_index;
     for (RoutingTable& plane : planes) {
-      // Dijkstra outward from the destination switch. The forwarding
-      // channel of a settled switch v is the reverse of the relaxing
-      // channel, because packets flow toward the destination.
-      std::fill(dist.begin(), dist.end(), kInf);
-      std::fill(parent.begin(), parent.end(), kInvalidChannel);
-      heap.reset(num_sw);
-      dist[dst_index] = 0;
-      heap.push(0, dst_index);
-      ++num_passes;
-      ++num_pushes;
-      std::size_t settled = 0;
-      while (!heap.empty()) {
-        auto [du, u_index] = heap.pop();
-        ++num_pops;
-        order[settled++] = u_index;
-        NodeId u = net.switch_by_index(u_index);
-        for (ChannelId c : net.out_switch_channels(u)) {
-          const NodeId v = net.channel(c).dst;
-          const std::uint32_t v_index = net.node(v).type_index;
-          const ChannelId fwd = net.channel(c).reverse;  // v -> u
-          const std::uint64_t cand = du + weight[fwd];
-          if (cand < dist[v_index]) {
-            // A relaxation from infinity is a fresh heap insert; any other
-            // is a decrease-key on an already-queued switch.
-            num_pushes += dist[v_index] == kInf ? 1 : 0;
-            dist[v_index] = cand;
-            parent[v_index] = fwd;
-            heap.push_or_decrease(cand, v_index);
-            ++num_relaxations;
-          }
-        }
-      }
-      if (settled != num_sw) {
+      if (sssp_destination(net, dst_switch, weight, options.balance,
+                           scratch) != num_sw) {
         error = "network is disconnected";
         return false;
       }
-
       for (std::size_t i = 0; i < num_sw; ++i) {
         NodeId s = net.switch_by_index(static_cast<std::uint32_t>(i));
         if (s == dst_switch) continue;
-        plane.set_next(s, d, parent[i]);
+        plane.set_next(s, d, scratch.parent[i]);
       }
       stats.paths += num_sw - 1;
-
-      if (options.balance) {
-        // Algorithm 1's weight update: every channel's weight grows by the
-        // number of (terminal, d) paths crossing it. Accumulate subtree
-        // terminal counts from the farthest settled switch inward.
-        for (std::size_t i = 0; i < num_sw; ++i) {
-          subtree[i] = net.terminals_on(net.switch_by_index(
-              static_cast<std::uint32_t>(i)));
-        }
-        for (std::size_t i = num_sw; i-- > 1;) {  // order[0] == dst, skip it
-          const std::uint32_t v_index = order[i];
-          const ChannelId fwd = parent[v_index];
-          weight[fwd] += subtree[v_index];
-          const NodeId next_sw = net.channel(fwd).dst;
-          subtree[net.node(next_sw).type_index] += subtree[v_index];
-        }
-      }
     }
   }
 
-  static obs::Counter& c_passes =
-      obs::registry().counter("sssp/dijkstra_passes");
-  static obs::Counter& c_pops = obs::registry().counter("sssp/heap_pops");
-  static obs::Counter& c_pushes = obs::registry().counter("sssp/heap_pushes");
-  static obs::Counter& c_relaxations =
-      obs::registry().counter("sssp/relaxations");
-  c_passes.add(num_passes);
-  c_pops.add(num_pops);
-  c_pushes.add(num_pushes);
-  c_relaxations.add(num_relaxations);
+  const SsspWork& work = scratch.work;
+  work.flush(sink);
   // Profile attribution: the same deterministic tallies land on the
   // innermost enclosing span (the sssp/fill_planes span opened above).
-  PROF_COUNT("sssp/dijkstra_passes", num_passes);
-  PROF_COUNT("sssp/heap_pops", num_pops);
-  PROF_COUNT("sssp/heap_pushes", num_pushes);
-  PROF_COUNT("sssp/relaxations", num_relaxations);
+  PROF_COUNT("sssp/dijkstra_passes", work.passes);
+  PROF_COUNT("sssp/heap_pops", work.pops);
+  PROF_COUNT("sssp/heap_pushes", work.pushes);
+  PROF_COUNT("sssp/relaxations", work.relaxations);
   stats.route_seconds += timer.seconds();
   return true;
 }
 
-RouteResponse route_sssp(const Network& net, const SsspOptions& options) {
+RouteResponse route_sssp(const Network& net, const SsspOptions& options,
+                         obs::Registry& sink) {
   RouteResponse out;
   out.table = RoutingTable(net);
   std::span<RoutingTable> planes(&out.table, 1);
-  if (!sssp_fill_planes(net, options, planes, out.stats, out.error)) {
+  if (!sssp_fill_planes(net, options, planes, out.stats, out.error, sink)) {
     return out;
   }
   out.ok = true;
@@ -144,7 +142,7 @@ RouteResponse route_sssp(const Network& net, const SsspOptions& options) {
 
 RouteResponse SsspRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
-  return route_sssp(topo.net, options_);
+  return route_sssp(topo.net, options_, request.sink());
 }
 
 }  // namespace dfsssp

@@ -14,7 +14,10 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
+#include "common/heap.hpp"
+#include "obs/metrics.hpp"
 #include "routing/router.hpp"
 
 namespace dfsssp {
@@ -40,8 +43,47 @@ class SsspRouter final : public Router {
   SsspOptions options_;
 };
 
-/// Shared core used by SsspRouter and DfssspRouter.
-RouteResponse route_sssp(const Network& net, const SsspOptions& options);
+/// Tallies of sssp_destination: passes, heap pops, heap pushes (initial
+/// push + relaxations from unreached) and relaxations.
+struct SsspWork {
+  std::uint64_t passes = 0, pops = 0, pushes = 0, relaxations = 0;
+
+  /// Adds the tallies to the sssp/* counters of `sink`.
+  void flush(obs::Registry& sink) const;
+};
+
+/// Caller-owned scratch of sssp_destination, reused across destinations.
+/// After a call, `parent` holds each switch's forwarding channel toward the
+/// destination (kInvalidChannel for the destination and unreached
+/// switches) and `order` the settled switches, destination first.
+struct SsspScratch {
+  std::vector<std::uint64_t> dist;
+  std::vector<ChannelId> parent;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint64_t> subtree;
+  MinHeap<std::uint64_t> heap;
+  SsspWork work;  // accumulates across calls
+};
+
+/// Algorithm 1's initial channel weight, |V|^2 per plane of one weight map.
+inline std::uint64_t sssp_initial_weight(const Network& net,
+                                         std::size_t planes = 1) {
+  return std::uint64_t{net.num_nodes()} * net.num_nodes() * planes;
+}
+
+/// Algorithm 1's per-destination step, the one weighted SSSP kernel:
+/// Dijkstra outward from `dst_switch` over the alive switch adjacency and
+/// `weight`, then, when `update_weights`, every tree channel gains the
+/// number of terminals whose path to the destination crosses it. Returns
+/// the number of switches settled.
+std::size_t sssp_destination(const Network& net, NodeId dst_switch,
+                             std::span<std::uint64_t> weight,
+                             bool update_weights, SsspScratch& scratch);
+
+/// Shared core used by SsspRouter and DfssspRouter; the sssp/* counters go
+/// to `sink`.
+RouteResponse route_sssp(const Network& net, const SsspOptions& options,
+                         obs::Registry& sink = obs::registry());
 
 /// Multi-plane core (InfiniBand LMC multipathing): fills every table in
 /// `planes` with one complete destination-based routing each, running the
@@ -51,6 +93,7 @@ RouteResponse route_sssp(const Network& net, const SsspOptions& options);
 /// LIDs of a port. Returns false on a disconnected network.
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
-                      std::string& error);
+                      std::string& error,
+                      obs::Registry& sink = obs::registry());
 
 }  // namespace dfsssp

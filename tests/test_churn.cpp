@@ -16,7 +16,9 @@
 #include "fault/incremental.hpp"
 #include "fault/schedule.hpp"
 #include "obs/metrics.hpp"
+#include "routing/dfsssp.hpp"
 #include "routing/dump.hpp"
+#include "routing/sssp.hpp"
 #include "routing/verify.hpp"
 #include "topology/generators.hpp"
 
@@ -222,6 +224,92 @@ TEST(IncrementalDfsssp, RepairProvenance) {
   EXPECT_FALSE(full.repair.incremental);
   EXPECT_EQ(full.repair.fallback_reason, "switch revived");
   expect_reachable(net, full.table);
+}
+
+// A failed route must not leave the engine bound to its half-built state:
+// the next repair, even one whose coalesced delta has no effect, is a full
+// recompute.
+TEST(IncrementalDfsssp, FailedRouteUnbindsTheEngine) {
+  Topology topo = make_deimos();
+  IncrementalDfsssp inc;
+  ASSERT_TRUE(inc.route(RouteRequest(topo)).ok);
+  const RouteResponse failed = inc.route(RouteRequest(topo, Layer{1}));
+  ASSERT_FALSE(failed.ok);  // Deimos needs two layers
+  EXPECT_TRUE(inc.certificate().empty());
+
+  ChurnEngine churn(topo);
+  const ChannelId link = FaultSchedule::link_kills(topo.net, 1, 3)[0].channel;
+  const FaultEvent flap[] = {{FaultKind::kLinkDown, link, kInvalidNode},
+                             {FaultKind::kLinkUp, link, kInvalidNode}};
+  const ChurnDelta delta =
+      churn.apply_all(std::span<const FaultEvent>(flap, 2));
+  ASSERT_TRUE(delta.no_effect());
+
+  const RouteResponse out = inc.repair(RouteRequest(topo), delta);
+  ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_FALSE(out.repair.incremental);
+  EXPECT_EQ(out.repair.fallback_reason,
+            "repair without a matching prior route");
+  expect_reachable(topo.net, out.table);
+  const CertCheckResult check =
+      check_certificate(topo.net, out.table, inc.certificate());
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
+// The from-scratch route and DFSSSP's online mode share the SSSP kernel,
+// so their forwarding is the same. Layers are not compared: the two
+// first-fit in different orders (source-major vs destination-major).
+TEST(IncrementalDfsssp, RouteMatchesDfssspOnlineNextHops) {
+  Rng rng(0xF169'0000ULL + 200);  // a Figure 9 fabric
+  for (const Topology& topo :
+       {make_deimos(), make_tsubame(), make_random(128, 16, 200, 16, rng)}) {
+    SCOPED_TRACE(topo.name);
+    const RouteResponse online =
+        DfssspRouter(DfssspOptions{.max_layers = 16,
+                                   .balance = false,
+                                   .mode = LayeringMode::kOnline})
+            .route(RouteRequest(topo));
+    ASSERT_TRUE(online.ok) << online.error;
+    IncrementalDfsssp inc(IncrementalOptions{.max_layers = 16});
+    const RouteResponse incremental = inc.route(RouteRequest(topo));
+    ASSERT_TRUE(incremental.ok) << incremental.error;
+    std::uint64_t differences = 0;
+    for (NodeId sw : topo.net.switches()) {
+      for (NodeId d : topo.net.terminals()) {
+        differences += online.table.next(sw, d) != incremental.table.next(sw, d);
+      }
+    }
+    EXPECT_EQ(differences, 0u);
+  }
+}
+
+// Every engine on the SSSP kernel flushes its counters into the request's
+// sink, and the incremental engine counts its Dijkstra too: one pop per
+// (destination, switch) on Deimos, none of them in the global registry.
+TEST(IncrementalDfsssp, SsspCountersGoToTheRequestSink) {
+  const Topology topo = make_deimos();
+  const auto global_pops = [] {
+    const obs::Snapshot snap = obs::registry().snapshot();
+    const auto it = snap.find("sssp/heap_pops");
+    return it == snap.end() ? 0 : it->second.value;
+  };
+  const std::uint64_t pops =
+      topo.net.num_terminals() * topo.net.num_switches();
+  EXPECT_EQ(pops, 65160u);
+  const auto route = [&](auto&& engine) {
+    obs::Registry sink;
+    RouteRequest request(topo);
+    request.metrics = &sink;
+    const std::uint64_t global_before = global_pops();
+    ASSERT_TRUE(engine.route(request).ok);
+    EXPECT_EQ(sink.snapshot().at("sssp/heap_pops").value, pops);
+    EXPECT_EQ(sink.snapshot().at("sssp/dijkstra_passes").value,
+              topo.net.num_terminals());
+    EXPECT_EQ(global_pops(), global_before);
+  };
+  route(SsspRouter());
+  route(DfssspRouter(DfssspOptions{.mode = LayeringMode::kOnline}));
+  route(IncrementalDfsssp());
 }
 
 // Satellite: Network mutation keeps the metrics and RoutingStats.paths

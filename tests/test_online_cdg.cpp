@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "cdg/verify.hpp"
 #include "common/rng.hpp"
@@ -195,6 +197,48 @@ TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
 TEST(OnlineCdg, SelfLoopRejected) {
   OnlineCdg cdg(2);
   EXPECT_FALSE(cdg.try_add_path(std::vector<ChannelId>{1, 1}));
+}
+
+// LASH's transaction: both paths of a group share one layer. The group's
+// first path fits layer 0, its second closes 0 -> 1 -> 0 there, so layer 0
+// gives the first one back and the group lands in layer 1 after two
+// attempts, one per layer tried (what LASH counts as lash/layer_attempts).
+TEST(FirstFitLayerer, GroupRolledBackLandsInNextLayer) {
+  FirstFitLayerer layers(4, 8);
+  EXPECT_EQ(layers.place(std::vector<ChannelId>{0, 1}), 0);
+  EXPECT_EQ(layers.work().attempts, 1u);
+
+  const std::vector<ChannelId> first{2, 3}, second{1, 0};
+  const std::span<const ChannelId> group[] = {first, second};
+  EXPECT_EQ(layers.place(group), 1);
+  EXPECT_EQ(layers.work().attempts, 3u);
+  EXPECT_EQ(layers.work().cycle_rejects, 1u);
+  EXPECT_EQ(layers.topological_order(0), (std::vector<ChannelId>{0, 1}));
+  EXPECT_EQ(layers.topological_order(1).size(), 4u);
+  EXPECT_TRUE(layers.topological_order(2).empty());  // never opened
+  EXPECT_EQ(layers.layers_used(), 2);
+}
+
+TEST(FirstFitLayerer, LayersUsedDropsWhenTopLayerEmpties) {
+  FirstFitLayerer layers(3, 2);
+  EXPECT_EQ(layers.layers_used(), 1);  // nothing placed yet
+  const std::vector<ChannelId> up{0, 1}, down{1, 0}, side{1, 2};
+  EXPECT_EQ(layers.place(up), 0);
+  EXPECT_EQ(layers.place(down), 1);
+  EXPECT_EQ(layers.place(side), 0);
+  EXPECT_EQ(layers.layers_used(), 2);
+  // 2 -> 0 closes 0 -> 1 -> 2 in layer 0, and 0 -> 1 closes 1 -> 0 in
+  // layer 1: no layer within the budget takes the path, and none keeps it.
+  EXPECT_EQ(layers.place(std::vector<ChannelId>{2, 0, 1}), kInvalidLayer);
+  EXPECT_EQ(layers.topological_order(0), (std::vector<ChannelId>{0, 1, 2}));
+  EXPECT_EQ(layers.topological_order(1), (std::vector<ChannelId>{1, 0}));
+
+  layers.remove(down, 1);
+  EXPECT_EQ(layers.layers_used(), 1);
+  layers.remove(up, 0);
+  layers.remove(side, 0);
+  EXPECT_EQ(layers.layers_used(), 1);
+  EXPECT_EQ(layers.place(down), 0);  // layer 0 is free of 0 -> 1 again
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 
+#include "analysis/certificate.hpp"
 #include "common/frame.hpp"
 #include "fault/churn.hpp"
 #include "fault/incremental.hpp"
@@ -297,6 +298,44 @@ TEST(ServiceCore, BatchedRepairMatchesInProcessChurn) {
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version, repaired.snapshot_version);
   expect_tables_identical(mirror.net, snap->table, direct.table);
+}
+
+// A route that fails (a one-layer budget on Deimos, which needs two) must
+// leave nothing half-built for the next repair to publish, even when the
+// repair's batch is a link flap that coalesces to no effect.
+TEST(ServiceCore, RepairAfterFailedRoutePublishesACertifiedTable) {
+  obs::Registry reg;
+  ServiceCoreOptions options;
+  options.metrics = &reg;
+  ServiceCore core(make_deimos(), options);
+  const Network& net = core.topo().net;
+  ServiceRequest route;
+  route.kind = MsgKind::kRoute;
+  ASSERT_EQ(core.handle(route).status, Status::kOk);
+  route.max_layers = 1;
+  ASSERT_EQ(core.handle(route).status, Status::kErrRouteFailed);
+
+  const ChannelId link = FaultSchedule::link_kills(net, 1, 3)[0].channel;
+  ASSERT_EQ(core.handle(make_fault({FaultKind::kLinkDown, link, kInvalidNode}))
+                .status,
+            Status::kOk);
+  ASSERT_EQ(core.handle(make_fault({FaultKind::kLinkUp, link, kInvalidNode}))
+                .status,
+            Status::kOk);
+  ServiceRequest repair;
+  repair.kind = MsgKind::kRepair;
+  const ServiceResponse repaired = core.handle(repair);
+  ASSERT_EQ(repaired.status, Status::kOk);
+  EXPECT_FALSE(repaired.incremental);
+
+  const auto snap = core.snapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->version, repaired.snapshot_version);
+  CertificateResult cert;
+  ASSERT_NO_THROW(cert = make_certificate(net, snap->table));
+  ASSERT_TRUE(cert.ok);
+  const CertCheckResult check = check_certificate(net, snap->table, cert.cert);
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 TEST(ServiceCore, LookupBeforeRouteAndBadIdsAreStructuredErrors) {

@@ -21,7 +21,6 @@
 // Exit codes: 0 = clean, 1 = deadlock possible / certificate rejected /
 // structural lint defects, 2 = usage or I/O error.
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -46,6 +45,7 @@
 #include "routing/dump.hpp"
 #include "routing/registry.hpp"
 #include "routing/router.hpp"
+#include "topology/configs.hpp"
 #include "topology/generators.hpp"
 #include "topology/io.hpp"
 
@@ -59,12 +59,13 @@ int usage(const char* program) {
                "topology (one of):\n"
                "  --topo=FILE         netfile or ibnetdiscover dump\n"
                "  --topo-format=F     netfile|ibnetdiscover (default: sniff)\n"
-               "  --gen=SPEC          built-in generator:\n"
+               "  --gen=SPEC          built-in topology:\n"
+               "                        NAME, a registered config as in dfrouted\n"
+               "                          --topo (dftopo list: deimos, ranger, ...)\n"
                "                        ring:<switches>:<terminals>\n"
                "                        torus:<a>x<b>[x<c>]:<terminals>\n"
                "                        tree:<k>:<n>\n"
                "                        random:<sw>:<term>:<links>:<ports>:<seed>\n"
-               "                        real:<odin|chic|deimos|tsubame|juropa|ranger>\n"
                "routing (one of):\n"
                "  --dump=FILE         read a forwarding dump\n"
                "  --route=ENGINE      engine registry key (minhop|updown|fattree|\n"
@@ -106,7 +107,7 @@ std::uint32_t parse_u32(const std::string& tok, const std::string& what) {
   return static_cast<std::uint32_t>(v);
 }
 
-Topology generate(const std::string& spec) {
+Topology generate(const std::string& spec, const ExecContext& exec) {
   const auto parts = split(spec, ':');
   if (parts.empty()) throw std::runtime_error("empty --gen spec");
   const std::string& family = parts[0];
@@ -141,18 +142,9 @@ Topology generate(const std::string& spec) {
                        parse_u32(parts[3], "link count"),
                        parse_u32(parts[4], "port count"), rng);
   }
-  if (family == "real") {
-    want(1);
-    for (Topology& t : make_all_real_systems()) {
-      std::string lowered;
-      for (char c : t.name) {
-        lowered.push_back(static_cast<char>(std::tolower(c)));
-      }
-      if (lowered.find(parts[1]) != std::string::npos) return std::move(t);
-    }
-    throw std::runtime_error("unknown real system '" + parts[1] + "'");
-  }
-  throw std::runtime_error("unknown generator family '" + family + "'");
+  // Anything else names a registered config; an unknown name throws with
+  // the list of known ones.
+  return build_topology_config(spec, exec);
 }
 
 Topology load_topology(const std::string& path, const std::string& format) {
@@ -352,7 +344,7 @@ int run(int argc, char** argv) {
   const std::string trace_file = cli.get("trace", "");
   if (!trace_file.empty()) obs::start_tracing(trace_file);
 
-  Topology topo = topo_file.empty() ? generate(gen_spec)
+  Topology topo = topo_file.empty() ? generate(gen_spec, exec)
                                     : load_topology(topo_file,
                                                     cli.get("topo-format", ""));
   Report report;
