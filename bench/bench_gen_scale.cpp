@@ -4,7 +4,7 @@
 // footprint, structure hash) as deterministic table cells — the committed
 // baseline pins them, so a scheduling or refactoring bug that perturbs the
 // emitted stream fails the dfbench compare gate bitwise. Wall-clock
-// generation time goes to timing histograms only.
+// generation time goes to the profile's topology/* spans only.
 #include "bench_util.hpp"
 #include "topology/metrics.hpp"
 
@@ -23,13 +23,8 @@ int main(int argc, char** argv) {
                                 "random-regular-mid"};
   if (cfg.full) keys.push_back("warehouse-dragonfly");
 
-  ScopedTimer total("gen/total_ns");
   for (const std::string& key : keys) {
-    Topology topo;
-    {
-      ScopedTimer t("gen/generate_ns");
-      topo = build_topology_config(key, exec);
-    }
+    const Topology topo = build_topology_config(key, exec);
     const std::uint64_t hash = structure_hash(topo.net);
     obs::registry()
         // One gauge per registry config key: bounded by the static table

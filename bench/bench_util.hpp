@@ -297,15 +297,13 @@ ebb_cell(const BenchConfig& cfg, std::uint64_t pattern_seed) {
   };
 }
 
-/// Canned run_roster cell: wall-clock routing time in milliseconds. The
-/// sample also lands in the "bench/route_ns" timing histogram, so --json
-/// reports carry the full routing-runtime distribution.
+/// Canned run_roster cell: the engine's routing runtime in milliseconds,
+/// path computation plus layering as RoutingStats reports them (read from
+/// the engine's phase spans, which --json reports also carry).
 inline std::string runtime_cell(const Topology& topo, const Router& router,
                                 std::size_t) {
-  ScopedTimer timer("bench/route_ns");
   RouteResponse out = router.route(RouteRequest(topo));
-  const double ms = timer.milliseconds();
-  return out.ok ? fmt_or_dash(ms, 1) : "-";
+  return out.ok ? fmt_or_dash(out.stats.total_seconds() * 1e3, 1) : "-";
 }
 
 /// Emits a deadlock-freedom certificate for a finished routing into

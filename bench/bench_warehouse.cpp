@@ -3,7 +3,8 @@
 // destination-sharded terminal set, verifies the paths and the deadlock
 // freedom of the result, and records per-phase wall-clock plus peak RSS.
 // Structural cells (counts, VLs, verification verdicts, structure hash) are
-// deterministic; all wall-clock lands in timing metrics only.
+// deterministic; each phase's wall clock is its warehouse/* span, so it
+// lands in the profile's timing stats only.
 //
 //   --full       dragonfly(50,40,2001): 100050 switches, ~4.45M links
 //   --dests=N    sharded destination terminals (default 64)
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
 
   Topology topo;
   {
-    ScopedTimer t("warehouse/generate_ns");
+    obs::TraceSpan span("warehouse/generate");
     topo = make_warehouse_dragonfly(a, h, g, dests, exec);
   }
   obs::registry()
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   DfssspRouter router(DfssspOptions{.max_layers = 8, .balance = false});
   RouteResponse out;
   {
-    ScopedTimer t("warehouse/route_ns");
+    obs::TraceSpan span("warehouse/route");
     out = router.route(RouteRequest(topo, exec));
   }
   if (!out.ok) {
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
 
   VerifyReport verify;
   {
-    ScopedTimer t("warehouse/verify_paths_ns");
+    obs::TraceSpan span("warehouse/verify_paths");
     verify = verify_routing(topo.net, out.table, exec);
   }
   std::snprintf(buf, sizeof(buf), "%llu paths, %llu broken, %llu non-minimal",
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
 
   bool deadlock_free;
   {
-    ScopedTimer t("warehouse/verify_deadlock_ns");
+    obs::TraceSpan span("warehouse/verify_deadlock");
     deadlock_free = routing_is_deadlock_free(topo.net, out.table, exec);
   }
   table.row().cell("deadlock-free").cell(deadlock_free ? "yes" : "NO");

@@ -5,7 +5,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -34,7 +33,7 @@ Cdg::Cdg(const PathSet& paths, std::span<const std::uint32_t> members,
   }
   const std::uint32_t num_deps = bucket[num_channels_];
   static obs::Counter& c_triples = obs::registry().counter("cdg/build_triples");
-  c_triples.add(num_deps);
+  c_triples.tally(num_deps);
 
   // Scatter the pairs into their buckets, in member order.
   struct Dep {
@@ -283,9 +282,15 @@ LayerResult assign_layers_offline(const PathSet& paths,
     if (paths.channels(p).size() >= 2) members.push_back(p);
   }
 
-  // Registry telemetry for the cycle-breaking loop — the numbers behind the
-  // paper's Figures 7-10. Aggregated in locals and flushed once per call.
-  std::uint64_t cycles_found = 0, paths_migrated = 0;
+  // Telemetry for the cycle-breaking loop — the numbers behind the paper's
+  // Figures 7-10. Aggregated in locals and tallied once per layer.
+  static obs::Counter& c_steps =
+      obs::registry().counter("cdg/cycle_search_steps");
+  static obs::Counter& c_inserts =
+      obs::registry().counter("cdg/edge_insertions");
+  static obs::Counter& c_cycles = obs::registry().counter("cdg/cycles_found");
+  static obs::Counter& c_migrated =
+      obs::registry().counter("cdg/paths_migrated");
   static obs::Histogram& h_migration_layer = obs::registry().histogram(
       "cdg/migration_target_layer",
       {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16});
@@ -295,16 +300,12 @@ LayerResult assign_layers_offline(const PathSet& paths,
   for (Layer l = 0; l < options.max_layers; ++l) {
     if (members.empty()) break;
     layers_used = static_cast<Layer>(l + 1);
-    TRACE_SPAN("dfsssp/cycle_search");
-    static obs::Histogram& h_cycle_search_ns =
-        obs::registry().timing_histogram("cdg/cycle_search_ns");
-    ScopedTimer phase_timer(h_cycle_search_ns);
+    obs::TraceSpan span("dfsssp/cycle_search");
     Cdg cdg(paths, members, num_channels);
     CycleFinder finder(cdg);
     std::vector<std::uint32_t> moved;
     std::uint64_t layer_cycles = 0;
     while (finder.next_cycle(cycle)) {
-      ++cycles_found;
       ++layer_cycles;
       if (l + 1 >= options.max_layers) {
         result.error = "cycle remains in the last virtual layer (" +
@@ -322,20 +323,13 @@ LayerResult assign_layers_offline(const PathSet& paths,
       h_migration_layer.record(static_cast<std::uint64_t>(l) + 1);
       finder.repair();
     }
-    paths_migrated += moved.size();
-    // Deterministic search cost for this layer, counted in registry totals
-    // and attributed to the enclosing dfsssp/cycle_search span: DFS edge
-    // examinations plus the CDG edges materialised for this layer's build.
-    static obs::Counter& c_steps =
-        obs::registry().counter("cdg/cycle_search_steps");
-    static obs::Counter& c_inserts =
-        obs::registry().counter("cdg/edge_insertions");
-    c_steps.add(finder.steps());
-    c_inserts.add(cdg.num_edges());
-    PROF_COUNT("cdg/cycle_search_steps", finder.steps());
-    PROF_COUNT("cdg/edge_insertions", cdg.num_edges());
-    PROF_COUNT("cdg/cycles_found", layer_cycles);
-    PROF_COUNT("cdg/paths_migrated", moved.size());
+    // This layer's work, tallied onto the dfsssp/cycle_search span too: DFS
+    // edge examinations, the CDG edges materialised for this layer's build,
+    // the cycles it broke and the paths it moved up.
+    c_steps.tally(finder.steps());
+    c_inserts.tally(cdg.num_edges());
+    c_cycles.tally(layer_cycles);
+    c_migrated.tally(moved.size());
     members = std::move(moved);
   }
 
@@ -345,11 +339,6 @@ LayerResult assign_layers_offline(const PathSet& paths,
         balance_layers(paths, result.layer, layers_used, options.max_layers);
   }
 
-  static obs::Counter& c_cycles = obs::registry().counter("cdg/cycles_found");
-  static obs::Counter& c_migrated =
-      obs::registry().counter("cdg/paths_migrated");
-  c_cycles.add(cycles_found);
-  c_migrated.add(paths_migrated);
   // Edges broken, attributed to the heuristic that chose them (== cycles
   // broken: one cut edge per cycle).
   obs::registry()

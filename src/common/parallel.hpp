@@ -107,7 +107,7 @@ class ThreadPool {
     std::uint64_t generation = 0;  // bumps once per run_chunked call
     std::uint64_t posted_ns = 0;   // when run_chunked published the job
     // Submitter's profiler position: chunks executed on workers attribute
-    // their spans and PROF_COUNTs to the same tree node the submitting
+    // their spans and tallies to the same tree node the submitting
     // thread was in, keeping attribution thread-count invariant.
     obs::ProfileContext prof_ctx;
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;

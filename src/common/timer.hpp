@@ -1,6 +1,7 @@
-// Wall-clock timing: the Timer used by the routing-runtime experiments
-// (Figures 7/8), the monotonic now_ns() the trace spans build on, and a
-// ScopedTimer that records elapsed nanoseconds into a named obs histogram.
+// Wall-clock timing: the monotonic now_ns() that trace spans (the clock of
+// every routing phase, obs/trace.hpp) build on, a Timer for whole-run wall
+// time, and a ScopedTimer that records one request's latency into an obs
+// histogram (the service's per-request distributions).
 #pragma once
 
 #include <chrono>
@@ -39,26 +40,17 @@ class Timer {
 };
 
 /// Times its scope and records the elapsed nanoseconds into an obs timing
-/// histogram on destruction. Replaces the ad-hoc Timer + printf pairs: the
-/// reading stays queryable through the registry after the scope ends.
+/// histogram on destruction, so a request's latency lands in the
+/// distribution on every return path.
 class ScopedTimer {
  public:
   explicit ScopedTimer(obs::Histogram& hist)
       : hist_(&hist), start_ns_(Timer::now_ns()) {}
-  /// Looks the histogram up by name (Kind::kTiming, exponential ns buckets).
-  explicit ScopedTimer(const char* name)
-      // Forwarding wrapper: every caller passes a literal, which the check
-      // verifies at the call site.
-      // NOLINTNEXTLINE(dfs-metric-name-literal): checked at the call site
-      : ScopedTimer(obs::registry().timing_histogram(name)) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   std::uint64_t elapsed_ns() const { return Timer::now_ns() - start_ns_; }
-  double milliseconds() const {
-    return static_cast<double>(elapsed_ns()) / 1e6;
-  }
 
   ~ScopedTimer() { hist_->record(elapsed_ns()); }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -58,23 +57,25 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
     std::uint32_t ti, std::string& error) {
   const Network& net = topo_->net;
   const NodeId d = net.terminal_by_index(ti);
-  Timer timer;
-  const std::size_t settled = sssp_destination(
-      net, net.switch_of(d), weight_, /*update_weights=*/true, sssp_);
-  if (settled != net.num_alive_switches()) {
-    error = "alive network is disconnected";
-    return DestStatus::kDisconnected;
+  {
+    obs::TraceSpan span("fault/sssp");
+    const std::size_t settled = sssp_destination(
+        net, net.switch_of(d), weight_, /*update_weights=*/true, sssp_);
+    if (settled != net.num_alive_switches()) {
+      error = "alive network is disconnected";
+      return DestStatus::kDisconnected;
+    }
+    for (std::size_t i = 1; i < settled; ++i) {  // order[0] == dst
+      const std::uint32_t s = sssp_.order[i];
+      table_.set_next(net.switch_by_index(s), d, sssp_.parent[s]);
+    }
+    dijkstra_seconds_ += span.seconds();
   }
-  for (std::size_t i = 1; i < settled; ++i) {  // order[0] == dst
-    const std::uint32_t s = sssp_.order[i];
-    table_.set_next(net.switch_by_index(s), d, sssp_.parent[s]);
-  }
-  dijkstra_seconds_ += timer.seconds();
 
   // Store the terminal-bearing sources' channel sequences and first-fit
   // them into the persistent layers — ascending switch index, so a repair
   // is one deterministic serial pass.
-  Timer layering_timer;
+  obs::TraceSpan span("fault/first_fit");
   DestPaths dp;
   std::vector<ChannelId> seq;
   for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
@@ -93,7 +94,7 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
       if (assigned == kInvalidLayer) {
         error = "ran out of virtual layers (" + std::to_string(max_layers_) +
                 ")";
-        layering_seconds_ += layering_timer.seconds();
+        layering_seconds_ += span.seconds();
         return DestStatus::kOverflow;
       }
     }
@@ -106,7 +107,7 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
   dp.offset.insert(dp.offset.begin(), 0);
   dp.routed = true;
   dest_[ti] = std::move(dp);
-  layering_seconds_ += layering_timer.seconds();
+  layering_seconds_ += span.seconds();
   return DestStatus::kOk;
 }
 
@@ -126,14 +127,16 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
   // The persistent layers already maintain topological orders (the
   // Pearce-Kelly invariant), so the certificate falls out of the repair
   // for free — no Kahn re-sort over the whole path set.
-  Timer cert_timer;
-  certificate_ = {};
-  certificate_.num_layers = layers_used;
-  certificate_.order.resize(layers_used);
-  for (Layer l = 0; l < layers_used; ++l) {
-    certificate_.order[l] = layers_.topological_order(l);
+  {
+    obs::TraceSpan span("fault/certificate");
+    certificate_ = {};
+    certificate_.num_layers = layers_used;
+    certificate_.order.resize(layers_used);
+    for (Layer l = 0; l < layers_used; ++l) {
+      certificate_.order[l] = layers_.topological_order(l);
+    }
+    layering_seconds_ += span.seconds();
   }
-  layering_seconds_ += cert_timer.seconds();
 
   out.ok = true;
   out.table = table_;
@@ -142,20 +145,18 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
   out.stats.layers_used = layers_used;
   out.stats.paths = count_paths();
 
+  // This call's work only. finish() runs inside the fault/route_full or
+  // fault/repair span, so the tallies attribute to whichever path ran.
   obs::Registry& sink = request.sink();
-  // Registry only: the profile attributes SSSP work to sssp/fill_planes.
   if (sssp_.work.passes > 0) sssp_.work.flush(sink);
   const FirstFitLayerer::Work work = layers_.work();
   const std::uint64_t checks = work.attempts - layer_work_at_start_.attempts;
   if (checks > 0) {
-    sink.counter("fault/acyclicity_checks").add(checks);
-    // finish() runs inside the fault/route_full or fault/repair span, so
-    // the re-layer attempts attribute to whichever path ran.
-    PROF_COUNT("fault/acyclicity_checks", checks);
+    sink.counter("fault/acyclicity_checks").tally(checks);
     sink.counter("cdg/pk_search_visits")
-        .add(work.search_visits - layer_work_at_start_.search_visits);
+        .tally(work.search_visits - layer_work_at_start_.search_visits);
     sink.counter("cdg/pk_cycle_rejects")
-        .add(work.cycle_rejects - layer_work_at_start_.cycle_rejects);
+        .tally(work.cycle_rejects - layer_work_at_start_.cycle_rejects);
   }
   sink.gauge("fault/active_paths").set(out.stats.paths);
   sink.gauge("fault/layers_used").set(layers_used);
@@ -170,10 +171,7 @@ RouteResponse IncrementalDfsssp::fail(const std::string& error) {
 }
 
 RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
-  TRACE_SPAN("fault/route_full");
-  static obs::Histogram& h_route_full_ns =
-      obs::registry().timing_histogram("fault/route_full_ns");
-  ScopedTimer phase_timer(h_route_full_ns);
+  obs::TraceSpan span("fault/route_full");
   const Topology& topo = request.topo();
   reset(topo, request.layer_budget(options_.max_layers));
   start_call();
@@ -194,10 +192,7 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
 
 RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
                                         const ChurnDelta& delta) {
-  TRACE_SPAN("fault/repair");
-  static obs::Histogram& h_repair_ns =
-      obs::registry().timing_histogram("fault/repair_ns");
-  ScopedTimer phase_timer(h_repair_ns);
+  obs::TraceSpan span("fault/repair");
   obs::Registry& sink = request.sink();
   sink.counter("fault/repairs").add(1);
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "obs/profile/profile.hpp"
 
 namespace dfsssp::obs {
 
@@ -19,6 +20,13 @@ std::size_t shard_index() {
 }
 
 }  // namespace detail
+
+// ---- Counter ----------------------------------------------------------------
+
+void Counter::tally(std::uint64_t n) {
+  add(n);
+  if (kind_ == Kind::kDeterministic) profile_count(name_.c_str(), n);
+}
 
 // ---- Histogram --------------------------------------------------------------
 
@@ -130,7 +138,7 @@ Counter& Registry::counter(const std::string& name, Kind kind) {
       throw std::logic_error("metric '" + name + "' is not a counter");
     }
     e.kind = kind;
-    e.counter.reset(new Counter());
+    e.counter.reset(new Counter(name, kind));
   }
   return *e.counter;
 }

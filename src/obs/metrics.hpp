@@ -14,8 +14,14 @@
 //     these feed the `metrics` section of the bench `--json` run reports,
 //     which CI diffs across thread counts.
 //   * Kind::kTiming — wall-clock or scheduling observations (queue waits,
-//     scoped timers, pool chunk counts). Inherently run-dependent; exported
-//     separately as `timing_metrics` and never diffed.
+//     request latencies, pool chunk counts). Inherently run-dependent;
+//     exported separately as `timing_metrics` and never diffed.
+//
+// A work count (Dijkstra pops, cycle-search steps, CDG edge insertions) is
+// recorded with Counter::tally(), which also adds it to the profile counter
+// of the innermost open span (obs/profile), so the registry total and the
+// profile tree read the same numbers. Event counts (requests served, faults
+// queued, journal records) use add() and stay out of the profile.
 //
 // Recording costs one relaxed atomic add on a thread-private cache line, so
 // instrumentation stays in the noise even on hot paths; the hot kernels
@@ -54,14 +60,20 @@ struct alignas(64) Slot {
 
 }  // namespace detail
 
-/// Monotonically increasing event count. add() is wait-free on a
-/// thread-private slot; value() sums the slots in index order.
+/// Monotonically increasing count. add() is wait-free on a thread-private
+/// slot; value() sums the slots in index order.
 class Counter {
  public:
   void add(std::uint64_t n) {
     slots_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
   void inc() { add(1); }
+
+  /// add(n) and, for a Kind::kDeterministic counter, the same n on the
+  /// profile counter of this name at the calling thread's innermost open
+  /// span — one call records a unit of work in both places. Costs one more
+  /// relaxed atomic load than add() while no profiling session is active.
+  void tally(std::uint64_t n);
 
   std::uint64_t value() const {
     std::uint64_t total = 0;
@@ -73,10 +85,13 @@ class Counter {
 
  private:
   friend class Registry;
-  Counter() = default;
+  Counter(std::string name, Kind kind)
+      : name_(std::move(name)), kind_(kind) {}
   void reset() {
     for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
   }
+  std::string name_;
+  Kind kind_;
   std::array<detail::Slot, kMaxShards> slots_;
 };
 
@@ -168,7 +183,7 @@ class Registry {
                        std::vector<std::uint64_t> edges,
                        Kind kind = Kind::kDeterministic);
   /// Histogram with exponential nanosecond buckets (1us .. ~4.4min),
-  /// Kind::kTiming. What ScopedTimer records into.
+  /// Kind::kTiming: the service's per-request latency distributions.
   Histogram& timing_histogram(const std::string& name);
 
   /// Merged reading of every registered metric.

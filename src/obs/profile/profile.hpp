@@ -1,15 +1,16 @@
 // Hierarchical span-tree profiler with deterministic work attribution.
 //
-// A profiling session aggregates the TRACE_SPAN stream into a canonical
+// A profiling session aggregates the TraceSpan stream into a canonical
 // call tree: every span entered while profiling is active becomes (or
 // revisits) a node keyed by its name under the innermost enclosing span.
 // Each node carries
 //
 //   * invocations — how many times the span opened (deterministic),
 //   * total/self wall time — Kind::kTiming, never exact-compared,
-//   * deterministic cost counters — PROF_COUNT tallies (cycle-search
-//     steps, heap pushes/pops, edge relaxations, re-layer attempts, CDG
-//     edge insertions) attributed to the innermost enclosing span.
+//   * deterministic cost counters — obs::Counter::tally() work counts
+//     (cycle-search steps, heap pushes/pops, edge relaxations, re-layer
+//     attempts, CDG edge insertions) attributed to the innermost enclosing
+//     span; the same call adds them to the metrics registry.
 //
 // The deterministic columns (invocations + counters) are bitwise identical
 // at any --threads=N. Two mechanisms make that hold:
@@ -29,8 +30,7 @@
 // and only ever compared through the MAD noise model.
 //
 // Like tracing, an inactive profiler costs one relaxed atomic load per
-// span; -DDFS_OBS_TRACING=OFF compiles PROF_COUNT (and the spans that feed
-// the tree) to nothing.
+// span and per tally.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +67,7 @@ void profile_exit(std::uint32_t node, std::uint64_t elapsed_ns);
 /// Adds `delta` to the deterministic counter `counter` on the calling
 /// thread's innermost enclosing span (the root when none is open).
 /// Counter names follow the registry convention ("family/name").
+/// Instrumented code calls it through obs::Counter::tally().
 void profile_count(const char* counter, std::uint64_t delta);
 
 /// The calling thread's position in the tree, capturable before handing
@@ -136,10 +137,3 @@ void write_profile_text(std::ostream& out, const Profile& profile,
 void write_folded(std::ostream& out, const Profile& profile);
 
 }  // namespace dfsssp::obs
-
-#if defined(DFS_OBS_NO_TRACING)
-#define PROF_COUNT(counter, delta) static_cast<void>(0)
-#else
-#define PROF_COUNT(counter, delta) \
-  ::dfsssp::obs::profile_count(counter, delta)
-#endif

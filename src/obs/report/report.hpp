@@ -13,11 +13,11 @@
 //     "wall_seconds": 6.12,                // median over repetitions
 //     "tables": [{"title", "columns", "rows"}, ...],
 //     "metrics": {...},                    // deterministic section, exact
-//     "timing_metrics": {...},             // rep-0 raw timing histograms
+//     "timing_metrics": {...},             // rep-0 raw timing-kind metrics
 //     "timing_stats": {                    // median/MAD over repetitions
 //       "bench/wall_ms": {"median_ms": 6120.0, "mad_ms": 31.2, "reps": 3},
-//       "sssp/fill_planes_ns": {...},
-//       "prof/root;dfsssp/layering/total_ms": {...}  // profile wall times
+//       "service/lookup_ns": {...},        // from a timing histogram
+//       "prof/root;dfsssp/layering/total_ms": {...}  // phase wall times
 //     },
 //     "profile": [                         // schema 3: span-tree profile,
 //       {"path": "root", "invocations": 1, "counters": {}},

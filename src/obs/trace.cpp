@@ -127,13 +127,13 @@ std::size_t stop_tracing() {
   return n;
 }
 
-TraceSpan::TraceSpan(const char* name) {
-  const bool tracing = tracing_active();
-  const bool profiling = profiling_active();
-  if (!tracing && !profiling) return;
-  if (tracing) name_ = name;
-  start_ns_ = Timer::now_ns();
-  if (profiling) prof_node_ = profile_enter(name);
+TraceSpan::TraceSpan(const char* name) : start_ns_(Timer::now_ns()) {
+  if (tracing_active()) name_ = name;
+  prof_node_ = profile_enter(name);
+}
+
+double TraceSpan::seconds() const {
+  return static_cast<double>(Timer::now_ns() - start_ns_) * 1e-9;
 }
 
 TraceSpan::~TraceSpan() {

@@ -1,14 +1,14 @@
 // Scoped trace spans with a Chrome trace_event JSON exporter.
 //
-// TRACE_SPAN("dfsssp/cycle_search") opens a span for the enclosing scope;
-// spans nest lexically and are timed with Timer::now_ns(). When no trace
-// session is active (the default) a span is one relaxed atomic load —
-// effectively free. Bench binaries and dfcheck activate a session with
-// --trace=FILE; the file loads in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
-//
-// Building with -DDFS_OBS_TRACING=OFF (CMake) defines DFS_OBS_NO_TRACING and
-// compiles every TRACE_SPAN to literally nothing.
+// `obs::TraceSpan span("dfsssp/cycle_search");` opens a span for the
+// enclosing scope. A span is the one clock of its phase: it always reads
+// its start time, span.seconds() is the phase's elapsed wall time (what the
+// routing engines report in RoutingStats), and on close it feeds whichever
+// sessions are active. Spans nest lexically and are timed with
+// Timer::now_ns(). With no session active (the default) a span costs one
+// clock read and two relaxed atomic loads. Bench binaries and dfcheck
+// activate a trace session with --trace=FILE; the file loads in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
 #pragma once
 
 #include <cstdint>
@@ -43,19 +43,13 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Wall seconds since the span opened.
+  double seconds() const;
+
  private:
-  const char* name_ = nullptr;
+  const char* name_ = nullptr;  // set only when a trace session records it
   std::uint64_t start_ns_ = 0;
   std::uint32_t prof_node_ = kNoProfileNode;
 };
 
 }  // namespace dfsssp::obs
-
-#if defined(DFS_OBS_NO_TRACING)
-#define TRACE_SPAN(name) static_cast<void>(0)
-#else
-#define DFS_OBS_CAT2(a, b) a##b
-#define DFS_OBS_CAT(a, b) DFS_OBS_CAT2(a, b)
-#define TRACE_SPAN(name) \
-  ::dfsssp::obs::TraceSpan DFS_OBS_CAT(dfs_trace_span_, __COUNTER__)(name)
-#endif

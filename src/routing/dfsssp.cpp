@@ -2,7 +2,6 @@
 
 #include "cdg/online.hpp"
 #include "cdg/verify.hpp"
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/collect.hpp"
@@ -18,11 +17,10 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
       route_sssp(net, SsspOptions{.balance = true}, request.sink());
   if (!out.ok) return out;
 
-  TRACE_SPAN("dfsssp/layering");
-  static obs::Histogram& h_layering_ns =
-      obs::registry().timing_histogram("dfsssp/layering_ns");
-  ScopedTimer phase_timer(h_layering_ns);
-  Timer timer;
+  obs::TraceSpan span("dfsssp/layering");
+  // Work counts go to the request's sink, so a caller-supplied registry
+  // (fault repair, tests) sees them, and onto this span's profile node.
+  obs::Registry& sink = request.sink();
   std::uint64_t acyclicity_checks = 0;
   FirstFitLayerer::Work work;
   const std::uint32_t num_channels =
@@ -47,7 +45,7 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
     layers_used = layers.layers_used();
     work = layers.work();
     acyclicity_checks = work.attempts;
-    PROF_COUNT("cdg/edge_insertions", work.insertions);
+    sink.counter("cdg/edge_insertions").tally(work.insertions);
     if (options_.balance) {
       layers_used =
           balance_layers(paths, layer, layers_used, max_layers);
@@ -103,20 +101,14 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   }
   out.table.set_num_layers(layers_used);
   out.stats.layers_used = layers_used;
-  out.stats.layering_seconds = timer.seconds();
-  // Flush through the request's sink: one registry lookup per route() call,
-  // so a caller-supplied registry (fault repair, tests) sees these too.
-  obs::Registry& sink = request.sink();
+  out.stats.layering_seconds = span.seconds();
   if (acyclicity_checks > 0) {
-    sink.counter("dfsssp/acyclicity_checks").add(acyclicity_checks);
-    // Re-layer attempts, attributed to the dfsssp/layering span.
-    PROF_COUNT("dfsssp/acyclicity_checks", acyclicity_checks);
+    sink.counter("dfsssp/acyclicity_checks").tally(acyclicity_checks);
   }
   if (work.reorders > 0) {
-    sink.counter("dfsssp/pk_reorders").add(work.reorders);
-    PROF_COUNT("dfsssp/pk_reorders", work.reorders);
-    sink.counter("cdg/pk_search_visits").add(work.search_visits);
-    sink.counter("cdg/pk_cycle_rejects").add(work.cycle_rejects);
+    sink.counter("dfsssp/pk_reorders").tally(work.reorders);
+    sink.counter("cdg/pk_search_visits").tally(work.search_visits);
+    sink.counter("cdg/pk_cycle_rejects").tally(work.cycle_rejects);
   }
   sink.gauge("dfsssp/layers_used").set(layers_used);
   return out;

@@ -1,6 +1,6 @@
 #include "routing/dor.hpp"
 
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace dfsssp {
 
@@ -8,7 +8,7 @@ RouteResponse DorRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
   const TopologyMeta& meta = topo.meta;
-  Timer timer;
+  obs::TraceSpan span("dor/route");
   if (!meta.has_coords() || meta.dims.empty()) {
     return RouteResponse::failure("DOR needs torus/mesh coordinates");
   }
@@ -73,7 +73,7 @@ RouteResponse DorRouter::route(const RouteRequest& request) const {
     }
     out.stats.paths += net.num_switches() - 1;
   }
-  out.stats.route_seconds = timer.seconds();
+  out.stats.route_seconds = span.seconds();
   out.ok = true;
   return out;
 }

@@ -1,6 +1,6 @@
 #include "routing/dor_dateline.hpp"
 
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 #include "routing/dor.hpp"
 
 namespace dfsssp {
@@ -9,7 +9,7 @@ RouteResponse DorDatelineRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
   const TopologyMeta& meta = topo.meta;
-  Timer timer;
+  obs::TraceSpan span("dordateline/route");
 
   // The forwarding tables are plain DOR.
   RouteResponse out = DorRouter().route(request);
@@ -57,7 +57,7 @@ RouteResponse DorDatelineRouter::route(const RouteRequest& request) const {
   }
   out.table.set_num_layers(layers_used);
   out.stats.layers_used = layers_used;
-  out.stats.layering_seconds = timer.seconds() - out.stats.route_seconds;
+  out.stats.layering_seconds = span.seconds() - out.stats.route_seconds;
   return out;
 }
 

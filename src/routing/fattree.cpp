@@ -1,6 +1,6 @@
 #include "routing/fattree.hpp"
 
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace dfsssp {
 
@@ -8,7 +8,7 @@ RouteResponse FatTreeRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
   const TopologyMeta& meta = topo.meta;
-  Timer timer;
+  obs::TraceSpan span("fattree/route");
   if (!meta.has_levels() || meta.sw_level.size() != net.num_switches()) {
     return RouteResponse::failure("fat-tree routing needs tree levels");
   }
@@ -97,7 +97,7 @@ RouteResponse FatTreeRouter::route(const RouteRequest& request) const {
     out.stats.paths += net.num_switches() - 1;
   }
 
-  out.stats.route_seconds = timer.seconds();
+  out.stats.route_seconds = span.seconds();
   out.ok = true;
   return out;
 }

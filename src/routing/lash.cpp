@@ -2,7 +2,7 @@
 
 #include "cdg/online.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/spath.hpp"
 
@@ -12,8 +12,7 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
   const Layer max_layers = request.layer_budget(options_.max_layers);
-  TRACE_SPAN("lash/route");
-  Timer timer;
+  obs::TraceSpan span("lash/route");
   RouteResponse out;
   out.table = RoutingTable(net);
 
@@ -60,8 +59,7 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
       for (NodeId t : terms) out.table.set_next(s, t, pick);
     }
   }
-  out.stats.route_seconds = timer.seconds();
-  timer.restart();
+  out.stats.route_seconds = span.seconds();
 
   // Online first-fit layering over *unordered* switch pairs: one service
   // level serves the bidirectional communication of a pair, so both
@@ -99,11 +97,12 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
   }
   out.table.set_num_layers(layers.layers_used());
   out.stats.layers_used = layers.layers_used();
-  out.stats.layering_seconds = timer.seconds();
-  // Deterministic layering cost, attributed to the lash/route span.
+  out.stats.layering_seconds = span.seconds() - out.stats.route_seconds;
+  // Deterministic layering cost, also attributed to the lash/route span.
   const FirstFitLayerer::Work work = layers.work();
-  PROF_COUNT("lash/layer_attempts", work.attempts);
-  PROF_COUNT("cdg/edge_insertions", work.insertions);
+  obs::Registry& sink = request.sink();
+  sink.counter("lash/layer_attempts").tally(work.attempts);
+  sink.counter("cdg/edge_insertions").tally(work.insertions);
   out.ok = true;
   return out;
 }

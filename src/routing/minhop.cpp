@@ -1,6 +1,6 @@
 #include "routing/minhop.hpp"
 
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 #include "routing/spath.hpp"
 
 namespace dfsssp {
@@ -8,7 +8,7 @@ namespace dfsssp {
 RouteResponse MinHopRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
-  Timer timer;
+  obs::TraceSpan span("minhop/route");
   RouteResponse out;
   out.table = RoutingTable(net);
 
@@ -33,7 +33,7 @@ RouteResponse MinHopRouter::route(const RouteRequest& request) const {
     }
     out.stats.paths += net.num_switches() - 1;
   }
-  out.stats.route_seconds = timer.seconds();
+  out.stats.route_seconds = span.seconds();
   out.ok = true;
   return out;
 }

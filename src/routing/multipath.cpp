@@ -2,7 +2,7 @@
 
 #include "cdg/cdg.hpp"
 #include "cdg/verify.hpp"
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 #include "routing/collect.hpp"
 #include "routing/sssp.hpp"
 
@@ -32,7 +32,7 @@ MultipathOutcome route_dfsssp_multipath(const Topology& topo, std::uint8_t lmc,
                                         DfssspOptions options) {
   MultipathOutcome out = route_sssp_multipath(topo, lmc, /*balance=*/true);
   if (!out.ok) return out;
-  Timer timer;
+  obs::TraceSpan span("multipath/layering");
 
   // Joint path set: plane r contributes the contiguous block
   // [r * per_plane, (r+1) * per_plane).
@@ -75,7 +75,7 @@ MultipathOutcome route_dfsssp_multipath(const Topology& topo, std::uint8_t lmc,
                       res.layer[p]);
     }
   }
-  out.stats.layering_seconds = timer.seconds();
+  out.stats.layering_seconds = span.seconds();
   return out;
 }
 

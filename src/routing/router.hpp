@@ -63,6 +63,9 @@ struct RouteRequest {
   }
 };
 
+/// Both times are read from the engine's phase spans (obs::TraceSpan:
+/// "<engine>/route", "sssp/fill_planes", "dfsssp/layering", ...), so they
+/// match the spans a --trace or --profile run records.
 struct RoutingStats {
   /// Wall time of path computation (Dijkstra/BFS loops).
   double route_seconds = 0.0;

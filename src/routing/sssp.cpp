@@ -2,16 +2,15 @@
 
 #include <span>
 
-#include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace dfsssp {
 
 void SsspWork::flush(obs::Registry& sink) const {
-  sink.counter("sssp/dijkstra_passes").add(passes);
-  sink.counter("sssp/heap_pops").add(pops);
-  sink.counter("sssp/heap_pushes").add(pushes);
-  sink.counter("sssp/relaxations").add(relaxations);
+  sink.counter("sssp/dijkstra_passes").tally(passes);
+  sink.counter("sssp/heap_pops").tally(pops);
+  sink.counter("sssp/heap_pushes").tally(pushes);
+  sink.counter("sssp/relaxations").tally(relaxations);
 }
 
 std::size_t sssp_destination(const Network& net, NodeId dst_switch,
@@ -84,14 +83,7 @@ std::size_t sssp_destination(const Network& net, NodeId dst_switch,
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
                       std::string& error, obs::Registry& sink) {
-  TRACE_SPAN("sssp/fill_planes");
-  // Phase timing for the run reports' timing_metrics section: what --trace
-  // records as a span, --json reports as a histogram sample. Static
-  // reference so the hot path pays no registry lookup.
-  static obs::Histogram& h_fill_ns =
-      obs::registry().timing_histogram("sssp/fill_planes_ns");
-  ScopedTimer phase_timer(h_fill_ns);
-  Timer timer;
+  obs::TraceSpan span("sssp/fill_planes");
   const std::size_t num_sw = net.num_switches();
   std::vector<std::uint64_t> weight(
       net.num_channels(), options.initial_weight != 0
@@ -116,15 +108,9 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
     }
   }
 
-  const SsspWork& work = scratch.work;
-  work.flush(sink);
-  // Profile attribution: the same deterministic tallies land on the
-  // innermost enclosing span (the sssp/fill_planes span opened above).
-  PROF_COUNT("sssp/dijkstra_passes", work.passes);
-  PROF_COUNT("sssp/heap_pops", work.pops);
-  PROF_COUNT("sssp/heap_pushes", work.pushes);
-  PROF_COUNT("sssp/relaxations", work.relaxations);
-  stats.route_seconds += timer.seconds();
+  // Tallied onto the sssp/fill_planes span as well.
+  scratch.work.flush(sink);
+  stats.route_seconds += span.seconds();
   return true;
 }
 

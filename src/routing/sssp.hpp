@@ -48,7 +48,8 @@ class SsspRouter final : public Router {
 struct SsspWork {
   std::uint64_t passes = 0, pops = 0, pushes = 0, relaxations = 0;
 
-  /// Adds the tallies to the sssp/* counters of `sink`.
+  /// Tallies into the sssp/* counters of `sink` and onto the calling
+  /// thread's innermost open span.
   void flush(obs::Registry& sink) const;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/heap.hpp"
-#include "common/timer.hpp"
+#include "obs/trace.hpp"
 #include "routing/spath.hpp"
 
 namespace dfsssp {
@@ -11,7 +11,7 @@ namespace dfsssp {
 RouteResponse UpDownRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
   const Network& net = topo.net;
-  Timer timer;
+  obs::TraceSpan span("updown/route");
   RouteResponse out;
   out.table = RoutingTable(net);
 
@@ -117,7 +117,7 @@ RouteResponse UpDownRouter::route(const RouteRequest& request) const {
     out.stats.paths += num_sw - 1;
   }
 
-  out.stats.route_seconds = timer.seconds();
+  out.stats.route_seconds = span.seconds();
   out.ok = true;
   return out;
 }

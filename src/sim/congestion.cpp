@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -35,7 +34,7 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
   if (flows.empty()) return result;
   // One span per pattern (work item), never per pool chunk: the profile's
   // invocation count equals the pattern count at any --threads=N.
-  TRACE_SPAN("sim/pattern");
+  obs::TraceSpan span("sim/pattern");
   std::uint64_t freeze_rounds = 0;
 
   // Per-channel flow counts.
@@ -135,11 +134,9 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
       obs::registry().counter("sim/freeze_rounds");
   static obs::Histogram& h_maxcong = obs::registry().histogram(
       "sim/max_congestion", {1, 2, 4, 8, 16, 32, 64, 128, 256});
-  c_patterns.inc();
-  if (freeze_rounds > 0) c_rounds.add(freeze_rounds);
+  c_patterns.tally(1);
+  if (freeze_rounds > 0) c_rounds.tally(freeze_rounds);
   h_maxcong.record(result.max_congestion);
-  PROF_COUNT("sim/patterns_simulated", 1);
-  if (freeze_rounds > 0) PROF_COUNT("sim/freeze_rounds", freeze_rounds);
   return result;
 }
 
@@ -190,10 +187,7 @@ EbbResult effective_bisection_bandwidth(const Network& net,
                                         const CongestionOptions& options,
                                         const ExecContext& exec) {
   EbbResult out;
-  TRACE_SPAN("sim/ebb");
-  static obs::Histogram& h_ebb_ns =
-      obs::registry().timing_histogram("sim/ebb_ns");
-  ScopedTimer phase_timer(h_ebb_ns);
+  obs::TraceSpan span("sim/ebb");
   out.min_pattern = std::numeric_limits<double>::infinity();
   // One base value from the caller's stream; pattern i generates and
   // simulates with its own Rng seeded from (base, i), and the reduction

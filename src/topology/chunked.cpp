@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include "common/narrow.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dfsssp {
@@ -33,7 +34,11 @@ Topology generate_chunked(const ChunkedGenerator& gen, const ExecContext& exec,
   // Profiler/trace spans sit at work-item granularity (one per id-span
   // chunk): the chunk grid is size-derived, so invocation counts and the
   // emitted-link tallies are identical at any --threads=N.
-  TRACE_SPAN("topology/generate_chunked");
+  obs::TraceSpan span("topology/generate_chunked");
+  static obs::Counter& c_links =
+      obs::registry().counter("topology/links_emitted");
+  static obs::Counter& c_terminals =
+      obs::registry().counter("topology/terminals_emitted");
   const GenLayout lay = gen.layout();
   NetworkBuilder builder(lay.num_switches);
   builder.reserve_links(lay.num_links);
@@ -43,13 +48,13 @@ Topology generate_chunked(const ChunkedGenerator& gen, const ExecContext& exec,
   for (std::uint32_t phase = 0; phase < lay.link_phases; ++phase) {
     auto chunks = parallel_map(
         exec, static_cast<std::size_t>(lay.link_chunks), [&](std::size_t i) {
-          TRACE_SPAN("topology/emit_links");
+          obs::TraceSpan chunk_span("topology/emit_links");
           std::vector<SwitchLink> out;
           Rng rng(stream_seed(base_seed,
                               (static_cast<std::uint64_t>(phase) << 40) |
                                   static_cast<std::uint64_t>(i)));
           gen.emit_links(phase, i, rng, out);
-          PROF_COUNT("topology/links_emitted", out.size());
+          c_links.tally(out.size());
           return out;
         });
     for (const auto& c : chunks) builder.add_links(c);
@@ -57,10 +62,10 @@ Topology generate_chunked(const ChunkedGenerator& gen, const ExecContext& exec,
 
   auto terminal_chunks = parallel_map(
       exec, static_cast<std::size_t>(lay.terminal_chunks), [&](std::size_t i) {
-        TRACE_SPAN("topology/emit_terminals");
+        obs::TraceSpan chunk_span("topology/emit_terminals");
         std::vector<std::uint32_t> out;
         gen.emit_terminals(i, out);
-        PROF_COUNT("topology/terminals_emitted", out.size());
+        c_terminals.tally(out.size());
         return out;
       });
   for (const auto& c : terminal_chunks) builder.add_terminals(c);
@@ -77,7 +82,7 @@ Topology generate_chunked(const ChunkedGenerator& gen, const ExecContext& exec,
 
   Topology topo;
   {
-    TRACE_SPAN("topology/build");
+    obs::TraceSpan build_span("topology/build");
     topo.net = builder.build(opts.validate);
   }
   topo.name = gen.topo_name();

@@ -354,7 +354,7 @@ Topology make_random(std::uint32_t num_switches,
                      std::uint32_t terminals_per_switch,
                      std::uint32_t num_links,
                      std::uint32_t max_inter_switch_ports, Rng& rng) {
-  TRACE_SPAN("topology/generate");
+  obs::TraceSpan span("topology/generate");
   if (num_switches < 2) throw std::invalid_argument("random: >= 2 switches");
   if (num_links + 1 < num_switches) {
     throw std::invalid_argument("random: too few links for connectivity");

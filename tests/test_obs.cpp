@@ -293,7 +293,7 @@ TEST(ObsRegistry, MetricsJsonIsValid) {
 TEST(ObsRegistry, ScopedTimerRecordsIntoTimingHistogram) {
   const obs::Snapshot before = obs::registry().snapshot();
   {
-    ScopedTimer t("test/scoped_timer_ns");
+    ScopedTimer t(obs::registry().timing_histogram("test/scoped_timer_ns"));
     EXPECT_GE(t.elapsed_ns(), 0u);
   }
   const obs::Snapshot after = obs::registry().snapshot();
@@ -336,16 +336,13 @@ std::vector<ParsedSpan> parse_spans(const std::string& text) {
 }
 
 TEST(ObsTrace, ChromeTraceIsValidJsonAndSpansNest) {
-#ifdef DFS_OBS_NO_TRACING
-  GTEST_SKIP() << "spans compiled out (DFS_OBS_TRACING=OFF)";
-#endif
   const std::string path = "test_obs_trace.json";
   obs::start_tracing(path);
   ASSERT_TRUE(obs::tracing_active());
   {
-    TRACE_SPAN("outer");
-    { TRACE_SPAN("inner"); }
-    { TRACE_SPAN("inner2"); }
+    obs::TraceSpan outer("outer");
+    { obs::TraceSpan inner("inner"); }
+    { obs::TraceSpan inner2("inner2"); }
   }
   const std::size_t spans = obs::stop_tracing();
   EXPECT_FALSE(obs::tracing_active());
@@ -377,13 +374,11 @@ TEST(ObsTrace, ChromeTraceIsValidJsonAndSpansNest) {
 }
 
 TEST(ObsTrace, SpansFromPoolWorkersAreCollected) {
-#ifdef DFS_OBS_NO_TRACING
-  GTEST_SKIP() << "spans compiled out (DFS_OBS_TRACING=OFF)";
-#endif
   const std::string path = "test_obs_trace_pool.json";
   obs::start_tracing(path);
   ExecContext exec(4);
-  parallel_for(exec, 32, [](std::size_t) { TRACE_SPAN("pool_item"); });
+  parallel_for(exec, 32,
+               [](std::size_t) { obs::TraceSpan span("pool_item"); });
   const std::size_t spans = obs::stop_tracing();
   EXPECT_EQ(spans, 32u);
   const std::string text = slurp(path);
@@ -393,7 +388,7 @@ TEST(ObsTrace, SpansFromPoolWorkersAreCollected) {
 
 TEST(ObsTrace, InactiveSessionsAreFree) {
   ASSERT_FALSE(obs::tracing_active());
-  { TRACE_SPAN("dropped"); }
+  { obs::TraceSpan span("dropped"); }
   EXPECT_EQ(obs::stop_tracing(), 0u);  // no session: no-op
 }
 

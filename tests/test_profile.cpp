@@ -1,7 +1,8 @@
 // Tests for the span-tree profiler: canonical aggregation of nested spans
 // into the call tree, thread-count invariance of the deterministic columns
-// (the contract the perf gate exact-diffs), session restart safety, the
-// two export formats, and the schema 2 -> 3 report upgrade path.
+// (the contract the perf gate exact-diffs), tallies that reach registry and
+// profile in one call, session restart safety, the two export formats, and
+// the schema 2 -> 3 report upgrade path.
 #include "obs/profile/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report/report.hpp"
 #include "obs/trace.hpp"
 
@@ -132,24 +134,29 @@ std::vector<DetRow> deterministic_columns(const Profile& p) {
   return rows;
 }
 
-std::vector<DetRow> run_workload(unsigned threads) {
+/// 64 work items under one span, each with its own span and two tallies
+/// into `reg`.
+std::vector<DetRow> run_workload(unsigned threads, Registry& reg) {
+  Counter& items = reg.counter("test/items");
+  Counter& cost = reg.counter("test/cost");
   start_profiling();
   ExecContext exec(threads);
   {
-    TRACE_SPAN("test/work");
-    parallel_for(exec, 64, [](std::size_t i) {
-      // One span + counter flush per work item — the instrumentation
-      // granularity the determinism contract requires.
-      TRACE_SPAN("test/item");
-      PROF_COUNT("test/items", 1);
-      PROF_COUNT("test/cost", static_cast<std::uint64_t>(i));
+    TraceSpan work("test/work");
+    parallel_for(exec, 64, [&](std::size_t i) {
+      // One span + tally per work item — the instrumentation granularity
+      // the determinism contract requires.
+      TraceSpan item("test/item");
+      items.tally(1);
+      cost.tally(static_cast<std::uint64_t>(i));
     });
   }
   return deterministic_columns(stop_profiling());
 }
 
 TEST_F(ProfileTest, DeterministicColumnsAreThreadCountInvariant) {
-  const std::vector<DetRow> serial = run_workload(1);
+  Registry reg;
+  const std::vector<DetRow> serial = run_workload(1, reg);
 
   // The worker-side spans must attach under the submitting thread's
   // cursor, so the tree shape and every deterministic column are
@@ -160,8 +167,78 @@ TEST_F(ProfileTest, DeterministicColumnsAreThreadCountInvariant) {
   EXPECT_EQ(std::get<2>(serial[2]).at("test/items"), 64U);
   EXPECT_EQ(std::get<2>(serial[2]).at("test/cost"), 64U * 63U / 2U);
 
-  EXPECT_EQ(run_workload(2), serial);
-  EXPECT_EQ(run_workload(8), serial);
+  // One tally per item reached the registry with the same totals.
+  EXPECT_EQ(reg.counter("test/items").value(), 64U);
+  EXPECT_EQ(reg.counter("test/cost").value(), 64U * 63U / 2U);
+
+  for (unsigned threads : {2U, 8U}) {
+    Registry wide;
+    EXPECT_EQ(run_workload(threads, wide), serial) << threads << " threads";
+    EXPECT_EQ(wide.counter("test/items").value(), 64U);
+    EXPECT_EQ(wide.counter("test/cost").value(), 64U * 63U / 2U);
+  }
+}
+
+TEST_F(ProfileTest, TallyReachesRegistryAndInnermostSpan) {
+  Registry reg;
+  Counter& steps = reg.counter("test/steps");
+  start_profiling();
+  {
+    TraceSpan outer("outer");
+    steps.tally(5);
+    {
+      TraceSpan inner("inner");
+      steps.tally(7);
+    }
+  }
+  const Profile p = stop_profiling();
+  ASSERT_EQ(p.nodes.size(), 3U);
+  EXPECT_EQ(p.nodes[1].path, "root;outer");
+  EXPECT_EQ(p.nodes[1].counters.at("test/steps"), 5U);
+  EXPECT_EQ(p.nodes[2].path, "root;outer;inner");
+  EXPECT_EQ(p.nodes[2].counters.at("test/steps"), 7U);
+  EXPECT_EQ(steps.value(), 12U);
+}
+
+TEST_F(ProfileTest, TallyWithoutSessionReachesOnlyRegistry) {
+  Registry reg;
+  Counter& steps = reg.counter("test/steps");
+  {
+    TraceSpan span("test/span");
+    steps.tally(5);  // no session: registry only
+  }
+  EXPECT_EQ(steps.value(), 5U);
+
+  // A later session sees only its own tallies.
+  start_profiling();
+  {
+    TraceSpan span("test/span");
+    steps.tally(2);
+  }
+  const Profile p = stop_profiling();
+  ASSERT_EQ(p.nodes.size(), 2U);
+  EXPECT_TRUE(p.nodes[0].counters.empty());
+  EXPECT_EQ(p.nodes[1].counters.at("test/steps"), 2U);
+  EXPECT_EQ(steps.value(), 7U);
+}
+
+TEST_F(ProfileTest, AddAndTimingCountersNeverReachTheProfile) {
+  Registry reg;
+  Counter& events = reg.counter("test/events");
+  Counter& waits = reg.counter("test/waits", Kind::kTiming);
+  start_profiling();
+  {
+    TraceSpan span("test/span");
+    events.add(3);  // an event count: registry only
+    events.inc();
+    waits.tally(4);  // timing kind: registry only even through tally()
+  }
+  const Profile p = stop_profiling();
+  ASSERT_EQ(p.nodes.size(), 2U);
+  EXPECT_TRUE(p.nodes[0].counters.empty());
+  EXPECT_TRUE(p.nodes[1].counters.empty());
+  EXPECT_EQ(events.value(), 4U);
+  EXPECT_EQ(waits.value(), 4U);
 }
 
 // ---- report schema upgrade --------------------------------------------------

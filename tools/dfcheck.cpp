@@ -177,17 +177,15 @@ std::string json_escape(const std::string& s) {
   return quoted.substr(1, quoted.size() - 2);
 }
 
-/// "dfcheck/..." timing histograms from the obs registry, as (name, ms,
-/// samples). What --trace records as spans, this reports as totals.
+/// The "dfcheck/..." phase spans of the profile session (started for
+/// --json and --report), as (name, ms, calls); empty without a session.
+/// What --trace records as spans, this reports as totals.
 std::vector<std::tuple<std::string, double, std::uint64_t>> dfcheck_timings() {
   std::vector<std::tuple<std::string, double, std::uint64_t>> out;
-  for (const auto& [name, v] : obs::registry().snapshot()) {
-    if (name.rfind("dfcheck/", 0) != 0 ||
-        v.type != obs::MetricValue::Type::kHistogram || v.hist.count == 0) {
-      continue;
-    }
-    out.emplace_back(name, static_cast<double>(v.hist.sum) / 1e6,
-                     v.hist.count);
+  for (const obs::ProfileNode& n : obs::collect_profile().nodes) {
+    if (n.name.rfind("dfcheck/", 0) != 0) continue;
+    out.emplace_back(n.name, static_cast<double>(n.total_ns) / 1e6,
+                     n.invocations);
   }
   return out;
 }
@@ -279,7 +277,8 @@ void print_json(const Network& net, const Report& r, std::ostream& out) {
 
 /// Writes the analysis as a versioned run report (the dfbench BENCH_*.json
 /// schema): analysis outcomes land in the deterministic `metrics` section,
-/// registry timing histograms in `timing_metrics`/`timing_stats`. A dfcheck
+/// the span profile in `profile` and its wall times in `timing_stats`,
+/// registry timing metrics in `timing_metrics`. A dfcheck
 /// run on a fixed topology+routing is bitwise reproducible, so the report
 /// slots straight into `dfbench compare`'s quality gate.
 void write_report(const Report& r, const obs::JsonValue& config,
@@ -321,6 +320,9 @@ void write_report(const Report& r, const obs::JsonValue& config,
   const obs::Snapshot snap = obs::registry().snapshot();
   out.timing_metrics = obs::metrics_to_json(snap, obs::Kind::kTiming);
   obs::derive_timing_stats(out);
+  const obs::Profile prof = obs::collect_profile();
+  out.profile = obs::profile_to_json(prof);
+  obs::profile_timing_stats(prof, out.timing_stats);
   obs::write_run_report(out, path);
 }
 
@@ -343,6 +345,10 @@ int run(int argc, char** argv) {
 
   const std::string trace_file = cli.get("trace", "");
   if (!trace_file.empty()) obs::start_tracing(trace_file);
+  // The phase timings of --json and --report come from the span profile.
+  const bool json = cli.get_bool("json", false);
+  const std::string report_file = cli.get("report", "");
+  if (json || !report_file.empty()) obs::start_profiling();
 
   Topology topo = topo_file.empty() ? generate(gen_spec, exec)
                                     : load_topology(topo_file,
@@ -370,8 +376,7 @@ int run(int argc, char** argv) {
       return 2;
     }
     RouteResponse out = [&] {
-      TRACE_SPAN("dfcheck/route");
-      ScopedTimer timer("dfcheck/route_ns");
+      obs::TraceSpan span("dfcheck/route");
       return chosen->route(RouteRequest(topo, exec));
     }();
     if (!out.ok) {
@@ -390,7 +395,6 @@ int run(int argc, char** argv) {
 
   const std::uint32_t witness_paths = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("witness-paths", 3)));
-  const bool json = cli.get_bool("json", false);
   const std::string cert_out = cli.get("cert-out", "");
   const std::string cert_check = cli.get("cert-check", "");
   const bool want_lints = cli.get_bool("lints", false);
@@ -403,8 +407,7 @@ int run(int argc, char** argv) {
     report.cert_check = cert_check;
     const Certificate cert = read_certificate_path(topo.net, cert_check);
     {
-      TRACE_SPAN("dfcheck/cert_check");
-      ScopedTimer timer("dfcheck/cert_check_ns");
+      obs::TraceSpan span("dfcheck/cert_check");
       report.check = check_certificate(topo.net, table, cert);
     }
     report.checked = true;
@@ -424,8 +427,7 @@ int run(int argc, char** argv) {
   } else {
     report.analyzed = true;
     const CertificateResult cert = [&] {
-      TRACE_SPAN("dfcheck/certificate");
-      ScopedTimer timer("dfcheck/certificate_ns");
+      obs::TraceSpan span("dfcheck/certificate");
       return make_certificate(topo.net, table, exec);
     }();
     report.deadlock_free = cert.ok;
@@ -459,8 +461,7 @@ int run(int argc, char** argv) {
   if (want_lints) {
     report.linted = true;
     {
-      TRACE_SPAN("dfcheck/lints");
-      ScopedTimer timer("dfcheck/lints_ns");
+      obs::TraceSpan span("dfcheck/lints");
       report.lints = lint_routing(topo.net, table, {}, dump_stats_ptr, exec);
     }
     if (report.lints.count(LintKind::kUnreachableDestination) > 0 ||
@@ -488,7 +489,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::string report_file = cli.get("report", "");
   if (!report_file.empty()) {
     obs::JsonValue config = obs::JsonValue::object();
     config.set("topology", obs::JsonValue::string(

@@ -315,8 +315,10 @@ int run_lookup_loop(int fd, const Cli& cli) {
   // Node ids are dense but interleaved by type, and the wire API does not
   // promise a layout — so walk the id space and keep going until `count`
   // lookups succeeded. kErrBadArgument just means the walk hit the wrong
-  // node type; any other error counts as a failure. The walk is
-  // deterministic, so repeated runs produce identical request streams.
+  // node type; any other reply (no snapshot yet, draining, ...) would
+  // answer every further lookup the same way, so the walk stops there.
+  // The walk is deterministic, so repeated runs produce identical request
+  // streams.
   std::uint64_t ok = 0;
   std::uint64_t errs = 0;
   std::uint64_t sent = 0;
@@ -336,6 +338,9 @@ int run_lookup_loop(int fd, const Cli& cli) {
       ++ok;
     } else if (resp.status != Status::kErrBadArgument) {
       ++errs;
+      std::fprintf(stderr, "lookups: stopped at %s: %s\n",
+                   to_string(resp.status), resp.error.c_str());
+      break;
     }
     src = (src + stride) % total_nodes;
     dst = (dst + 1) % total_nodes;

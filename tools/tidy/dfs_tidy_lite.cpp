@@ -1,17 +1,13 @@
-// dfs-tidy-lite — dependency-free fallback driver for the repo's dfs-*
-// static-analysis checks (tools/tidy/README.md has the catalog).
+// dfs-tidy-lite — the scanner behind the repo's dfs-* static-analysis
+// checks (tools/tidy/README.md has the catalog).
 //
-// The authoritative implementation is the clang-tidy plugin next to this
-// file: full AST, exact types, loadable into any clang-tidy >= 14 via
-// -load. The plugin needs LLVM/Clang dev headers, which not every dev box
-// has — this driver re-implements the same checks at the token level
-// (comments and string literals stripped, identifiers tokenized, braces
-// and parens tracked) so the fixture tests and the whole-tree gate run
-// under plain ctest everywhere. Token-level means best effort: the lite
+// It implements the checks at the token level (comments and string
+// literals stripped, identifiers tokenized, braces and parens tracked), so
+// the fixture tests and the whole-tree gate run under plain ctest with no
+// toolchain beyond the C++ compiler. Token-level means best effort: the
 // narrowing check, for instance, flags a 64->32 static_cast only when the
-// operand *looks* 64-bit (`.size()`, `size_t`, `uint64`, `strtoul`, ...),
-// where the plugin proves it from the type. CI runs the plugin; the lite
-// driver keeps the gate honest in between.
+// operand *looks* 64-bit (`.size()`, `size_t`, `uint64`, `strtoul`, ...);
+// the annotated fixtures pin what each check must and must not flag.
 //
 // Modes:
 //   dfs_tidy_lite [--root=DIR] [--checks=LIST] [--json=FILE] PATH...
