@@ -59,7 +59,7 @@ std::vector<ChannelId> OnlineCdg::topological_order() const {
   return order;
 }
 
-bool OnlineCdg::add_edge(ChannelId u, ChannelId v) {
+bool OnlineCdg::add_edge(ChannelId u, ChannelId v, bool may_cache) {
   if (u == v) return false;
   std::size_t i = find_adj(out_[u], v);
   if (i < out_[u].size()) {  // already present, just bump refcounts
@@ -67,7 +67,17 @@ bool OnlineCdg::add_edge(ChannelId u, ChannelId v) {
     ++in_[v][find_adj(in_[v], u)].refcount;
     return true;
   }
-  if (ord_[u] > ord_[v] && !reorder(u, v)) return false;
+  if (ord_[u] > ord_[v]) {
+    const std::uint64_t key = std::uint64_t{u} << 32 | v;
+    if (rejected_.contains(key)) {
+      ++num_cache_rejects_;
+      return false;
+    }
+    if (!reorder(u, v)) {
+      if (may_cache) rejected_.insert(key);
+      return false;
+    }
+  }
   insert_adj(out_[u], v);
   insert_adj(in_[v], u);
   ++num_edges_;
@@ -75,11 +85,12 @@ bool OnlineCdg::add_edge(ChannelId u, ChannelId v) {
   return true;
 }
 
-void OnlineCdg::remove_edge(ChannelId u, ChannelId v) {
+bool OnlineCdg::remove_edge(ChannelId u, ChannelId v) {
   const bool last = out_[u][find_adj(out_[u], v)].refcount == 1;
   erase_adj(out_[u], v);
   erase_adj(in_[v], u);
   if (last) --num_edges_;
+  return last;
 }
 
 bool OnlineCdg::reorder(ChannelId u, ChannelId v) {
@@ -156,10 +167,12 @@ bool OnlineCdg::reorder(ChannelId u, ChannelId v) {
 }
 
 bool OnlineCdg::try_add_path(std::span<const ChannelId> channels) {
+  const std::uint64_t committed = num_insertions_;
   std::size_t added = 0;
   bool ok = true;
   for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
-    if (!add_edge(channels[i], channels[i + 1])) {
+    if (!add_edge(channels[i], channels[i + 1],
+                  num_insertions_ == committed)) {
       ok = false;
       break;
     }
@@ -176,9 +189,14 @@ bool OnlineCdg::try_add_path(std::span<const ChannelId> channels) {
 }
 
 void OnlineCdg::remove_path(std::span<const ChannelId> channels) {
+  bool edge_gone = false;
   for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
-    remove_edge(channels[i], channels[i + 1]);
+    edge_gone |= remove_edge(channels[i], channels[i + 1]);
   }
+  // A vanished edge may have been on a cached reject's witness path. The
+  // empty() test matters: clear() zeroes every bucket even when empty, and
+  // retraction removes thousands of paths per repair.
+  if (edge_gone && !rejected_.empty()) rejected_.clear();
   --num_paths_;
 }
 
@@ -227,6 +245,7 @@ FirstFitLayerer::Work FirstFitLayerer::work() const {
     w.reorders += cdg.num_reorders();
     w.search_visits += cdg.num_search_visits();
     w.cycle_rejects += cdg.num_cycle_rejects();
+    w.cache_rejects += cdg.num_cache_rejects();
   }
   return w;
 }

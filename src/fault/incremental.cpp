@@ -157,6 +157,8 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
         .tally(work.search_visits - layer_work_at_start_.search_visits);
     sink.counter("cdg/pk_cycle_rejects")
         .tally(work.cycle_rejects - layer_work_at_start_.cycle_rejects);
+    sink.counter("cdg/pk_cache_rejects")
+        .tally(work.cache_rejects - layer_work_at_start_.cache_rejects);
   }
   sink.gauge("fault/active_paths").set(out.stats.paths);
   sink.gauge("fault/layers_used").set(layers_used);

@@ -22,9 +22,13 @@ std::string FaultEvent::describe(const Network& net) const {
   std::string s = to_string(kind);
   if (kind == FaultKind::kLinkDown || kind == FaultKind::kLinkUp) {
     const Channel& ch = net.channel(channel);
-    s += " " + net.node_name(ch.src) + "<->" + net.node_name(ch.dst);
+    s += ' ';
+    s += net.node_name(ch.src);
+    s += "<->";
+    s += net.node_name(ch.dst);
   } else {
-    s += " " + net.node_name(sw);
+    s += ' ';
+    s += net.node_name(sw);
   }
   return s;
 }

@@ -22,6 +22,10 @@ const char* to_string(Verdict v) {
 
 namespace {
 
+// Rendered for a value one side lacks. A char rather than "-": GCC 12 at
+// -O3 reports a false -Wrestrict on std::string = "literal" here.
+constexpr char kAbsent = '-';
+
 std::string render(const JsonValue& v) {
   if (v.is_object() && v.contains("count") && v.contains("sum")) {
     // Histograms render as their invariants, not the full bucket vector.
@@ -54,7 +58,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
       const JsonValue* other = run.metrics.find(m.first);
       if (other == nullptr) {
         f.verdict = Verdict::kMissing;
-        f.run = "-";
+        f.run = kAbsent;
         f.note = "metric disappeared from the run";
         ++out.quality_drift;
       } else if (m.second == *other) {
@@ -73,7 +77,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
       Finding f;
       f.metric = m.first;
       f.verdict = Verdict::kNew;
-      f.baseline = "-";
+      f.baseline = kAbsent;
       f.run = render(m.second);
       f.note = "not in the baseline; refresh baselines to start tracking";
       ++out.new_metrics;
@@ -123,7 +127,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
       auto it = run_nodes.find(path->as_string());
       if (it == run_nodes.end()) {
         f.verdict = Verdict::kMissing;
-        f.run = "-";
+        f.run = kAbsent;
         f.note = "profile node disappeared from the run";
         ++out.quality_drift;
       } else if (node == *it->second) {
@@ -143,7 +147,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
       Finding f;
       f.metric = "profile:" + path;
       f.verdict = Verdict::kNew;
-      f.baseline = "-";
+      f.baseline = kAbsent;
       f.run = render(*node);
       f.note = "not in the baseline; refresh baselines to start tracking";
       ++out.new_metrics;
@@ -162,7 +166,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
       // A vanished timing is not a quality failure (instrumentation may
       // move); surface it without gating.
       f.verdict = Verdict::kMissing;
-      f.run = "-";
+      f.run = kAbsent;
       out.findings.push_back(std::move(f));
       continue;
     }
@@ -194,7 +198,7 @@ CompareResult compare_reports(const RunReport& baseline, const RunReport& run,
     f.metric = name;
     f.deterministic = false;
     f.verdict = Verdict::kNew;
-    f.baseline = "-";
+    f.baseline = kAbsent;
     f.run = render_ms(cur.median_ms);
     out.findings.push_back(std::move(f));
   }

@@ -109,6 +109,7 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
     sink.counter("dfsssp/pk_reorders").tally(work.reorders);
     sink.counter("cdg/pk_search_visits").tally(work.search_visits);
     sink.counter("cdg/pk_cycle_rejects").tally(work.cycle_rejects);
+    sink.counter("cdg/pk_cache_rejects").tally(work.cache_rejects);
   }
   sink.gauge("dfsssp/layers_used").set(layers_used);
   return out;

@@ -103,6 +103,9 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
   obs::Registry& sink = request.sink();
   sink.counter("lash/layer_attempts").tally(work.attempts);
   sink.counter("cdg/edge_insertions").tally(work.insertions);
+  sink.counter("cdg/pk_search_visits").tally(work.search_visits);
+  sink.counter("cdg/pk_cycle_rejects").tally(work.cycle_rejects);
+  sink.counter("cdg/pk_cache_rejects").tally(work.cache_rejects);
   out.ok = true;
   return out;
 }

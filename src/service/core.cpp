@@ -99,7 +99,14 @@ ServiceResponse ServiceCore::handle(const ServiceRequest& request) {
         break;
     }
   }
-  if (resp.status != Status::kOk) errors_.inc();
+  if (resp.status != Status::kOk) {
+    errors_.inc();
+    // Per status as well, so a client's wrong-type probes (bad_argument)
+    // do not hide failed routes or draining rejects in the total.
+    // NOLINTNEXTLINE(dfs-metric-name-literal): bounded by the Status enum
+    metrics_.counter(std::string("service/errors/") + to_string(resp.status))
+        .inc();
+  }
   return resp;
 }
 

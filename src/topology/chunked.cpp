@@ -166,7 +166,11 @@ void ChunkedDragonfly::emit_terminals(std::uint64_t chunk,
 }
 
 std::string ChunkedDragonfly::switch_name(std::uint64_t sw) const {
-  return "g" + std::to_string(sw / a_) + ".s" + std::to_string(sw % a_);
+  std::string name = "g";
+  name += std::to_string(sw / a_);
+  name += ".s";
+  name += std::to_string(sw % a_);
+  return name;
 }
 
 // ---- xgft -------------------------------------------------------------------
@@ -293,7 +297,10 @@ std::uint32_t ChunkedTorus::coord_of(std::uint64_t idx,
 
 std::string ChunkedTorus::topo_name() const {
   std::string name = family();
-  for (std::uint32_t d : dims_) name += "-" + std::to_string(d);
+  for (std::uint32_t d : dims_) {
+    name += '-';
+    name += std::to_string(d);
+  }
   return name;
 }
 
@@ -374,7 +381,10 @@ std::uint32_t ChunkedHyperx::coord_of(std::uint64_t idx,
 
 std::string ChunkedHyperx::topo_name() const {
   std::string name = "hyperx";
-  for (std::uint32_t d : dims_) name += "-" + std::to_string(d);
+  for (std::uint32_t d : dims_) {
+    name += '-';
+    name += std::to_string(d);
+  }
   return name;
 }
 

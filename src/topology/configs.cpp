@@ -126,7 +126,10 @@ std::vector<TopoConfig> make_registry() {
   for (const auto& dims : std::vector<std::vector<std::uint32_t>>{
            {8, 8}, {12, 12}, {6, 6, 6}, {16, 16}}) {
     std::string key = "torus";
-    for (std::uint32_t d : dims) key += "-" + std::to_string(d);
+    for (std::uint32_t d : dims) {
+      key += '-';
+      key += std::to_string(d);
+    }
     add(cfgs, key, "torus, 2 terminals/switch",
         [dims](const ExecContext&) { return make_torus(dims, 2, true); });
   }

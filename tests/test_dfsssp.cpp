@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "routing/collect.hpp"
 #include "routing/sssp.hpp"
 #include "routing/verify.hpp"
@@ -81,6 +82,40 @@ TEST(Dfsssp, NaiveOnlineModeMatchesInvariants) {
     for (NodeId t : topo.net.terminals()) {
       if (topo.net.switch_of(t) == s) continue;
       EXPECT_EQ(naive.table.layer(s, t), pk.table.layer(s, t));
+    }
+  }
+}
+
+// The reject cache answers repeated rejects without a search; first-fit
+// must still place every path exactly where the naive per-path cycle
+// search does. Each fabric is checked to have had cache hits.
+TEST(Dfsssp, OnlineWithRejectCacheMatchesNaiveLayers) {
+  std::uint32_t dims[2] = {4, 4};
+  Rng rng(7);
+  Topology topos[] = {make_ring(9, 2), make_torus(dims, 2, true),
+                      make_random(16, 2, 40, 10, rng),
+                      make_random(20, 4, 50, 12, rng)};
+  for (const Topology& topo : topos) {
+    RouteResponse naive =
+        DfssspRouter(DfssspOptions{.balance = false,
+                                   .mode = LayeringMode::kOnlineNaive})
+            .route(RouteRequest(topo));
+    obs::Registry sink;
+    RouteRequest request(topo);
+    request.metrics = &sink;
+    RouteResponse pk = DfssspRouter(DfssspOptions{
+                           .balance = false, .mode = LayeringMode::kOnline})
+                           .route(request);
+    ASSERT_TRUE(naive.ok) << topo.name << ": " << naive.error;
+    ASSERT_TRUE(pk.ok) << topo.name << ": " << pk.error;
+    EXPECT_GT(sink.snapshot().at("cdg/pk_cache_rejects").value, 0u)
+        << topo.name;
+    EXPECT_EQ(naive.stats.layers_used, pk.stats.layers_used) << topo.name;
+    for (NodeId s : topo.net.switches()) {
+      for (NodeId t : topo.net.terminals()) {
+        if (topo.net.switch_of(t) == s) continue;
+        ASSERT_EQ(naive.table.layer(s, t), pk.table.layer(s, t)) << topo.name;
+      }
     }
   }
 }

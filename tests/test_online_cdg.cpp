@@ -130,31 +130,35 @@ TEST(OnlineCdg, TwoWaySearchMeetsFromEitherSide) {
             (std::vector<ChannelId>{2, 3, 0, 1}));
 }
 
-// Thousands of inserts and removals on a 50-node graph: every answer
-// matches the naive oracle, and after every step the maintained order
-// places every present edge forward. Covers meets found by either side,
-// scratch reused across calls, and reorders over a graph that shrinks.
-TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
-  constexpr std::uint32_t kNodes = 50;
-  Rng rng(2025);
-  OnlineCdg cdg(kNodes);
-  std::vector<std::vector<ChannelId>> accepted;
+// Random inserts and removals against the naive oracle: every answer
+// matches it, and after every step the maintained order places every
+// present edge forward. One step in `remove_one_in` removes a random
+// accepted path; the others try a random simple path of 2 to
+// 1 + `max_extra` channels.
+struct OracleCounts {
   std::uint64_t inserts = 0, removals = 0, rejects = 0;
-  for (int step = 0; step < 4000; ++step) {
-    if (!accepted.empty() && rng.next_below(4) == 0) {
+};
+
+void run_against_oracle(OnlineCdg& cdg, std::uint32_t nodes,
+                        std::uint64_t seed, int steps,
+                        std::uint32_t remove_one_in, std::uint32_t max_extra,
+                        OracleCounts& n) {
+  Rng rng(seed);
+  std::vector<std::vector<ChannelId>> accepted;
+  for (int step = 0; step < steps; ++step) {
+    if (!accepted.empty() && rng.next_below(remove_one_in) == 0) {
       const std::size_t i =
           static_cast<std::size_t>(rng.next_below(accepted.size()));
       cdg.remove_path(accepted[i]);
       accepted[i] = std::move(accepted.back());
       accepted.pop_back();
-      ++removals;
+      ++n.removals;
     } else {
-      // Random simple path of 2..6 channels.
       std::vector<ChannelId> seq;
       const std::uint32_t len =
-          2 + static_cast<std::uint32_t>(rng.next_below(5));
+          2 + static_cast<std::uint32_t>(rng.next_below(max_extra));
       while (seq.size() < len) {
-        const ChannelId c = static_cast<ChannelId>(rng.next_below(kNodes));
+        const ChannelId c = static_cast<ChannelId>(rng.next_below(nodes));
         if (std::find(seq.begin(), seq.end(), c) == seq.end()) {
           seq.push_back(c);
         }
@@ -164,21 +168,21 @@ TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
       trial.add(0, 0, seq, 1);
       std::vector<std::uint32_t> members(trial.size());
       std::iota(members.begin(), members.end(), 0U);
-      const bool oracle = paths_are_acyclic(trial, members, kNodes);
+      const bool oracle = paths_are_acyclic(trial, members, nodes);
 
       const bool got = cdg.try_add_path(seq);
       ASSERT_EQ(got, oracle) << "step " << step;
       if (got) {
         accepted.push_back(std::move(seq));
-        ++inserts;
+        ++n.inserts;
       } else {
-        ++rejects;
+        ++n.rejects;
       }
     }
 
     ASSERT_EQ(cdg.num_paths(), accepted.size());
     const std::vector<ChannelId> order = cdg.topological_order();
-    std::vector<std::uint32_t> pos(kNodes, kNodes);
+    std::vector<std::uint32_t> pos(nodes, nodes);
     for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
     for (const auto& p : accepted) {
       for (std::size_t i = 0; i + 1 < p.size(); ++i) {
@@ -187,11 +191,100 @@ TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
       }
     }
   }
+}
+
+// Thousands of inserts and removals on a 50-node graph. Covers meets found
+// by either side, scratch reused across calls, and reorders over a graph
+// that shrinks.
+TEST(OnlineCdg, RandomizedInsertRemoveKeepsOrderAndMatchesOracle) {
+  OnlineCdg cdg(50);
+  OracleCounts n;
+  run_against_oracle(cdg, 50, 2025, 4000, 4, 5, n);
+  ASSERT_FALSE(HasFatalFailure());
   // The mix really exercised all three operations.
-  EXPECT_GT(inserts, 500U);
-  EXPECT_GT(removals, 500U);
-  EXPECT_GT(rejects, 500U);
-  EXPECT_EQ(cdg.num_cycle_rejects(), rejects);
+  EXPECT_GT(n.inserts, 500U);
+  EXPECT_GT(n.removals, 500U);
+  EXPECT_GT(n.rejects, 500U);
+  // Every reject was either searched or answered by the reject cache.
+  EXPECT_EQ(cdg.num_cycle_rejects() + cdg.num_cache_rejects(), n.rejects);
+}
+
+// A graph that mostly grows: with removals rare, the reject cache answers
+// most rejects without a search, and every answer still matches the
+// oracle.
+TEST(OnlineCdg, RejectCacheMatchesOracleWhenRemovalsAreRare) {
+  OnlineCdg cdg(16);
+  OracleCounts n;
+  run_against_oracle(cdg, 16, 2026, 3000, 100, 3, n);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(n.removals, 10U);
+  EXPECT_GT(n.rejects, 2000U);
+  EXPECT_EQ(cdg.num_cycle_rejects() + cdg.num_cache_rejects(), n.rejects);
+  // Hits skip the reorder: every reorder is either accepted or searched.
+  EXPECT_GE(cdg.num_reorders(), cdg.num_cycle_rejects());
+  EXPECT_GT(cdg.num_cache_rejects() * 4, n.rejects * 3);  // over 3/4 hit
+}
+
+// a -> b -> c closes a cycle at (b,c) only through the call's own new edge
+// (a,b): c -> a is committed, a -> b is not. The reject must not be cached,
+// because the rollback removes (a,b) and [b, c] alone is acyclic.
+TEST(OnlineCdg, RejectThroughOwnPrefixEdgeIsNotCached) {
+  constexpr ChannelId c = 0, a = 1, b = 2;
+  OnlineCdg cdg(3);
+  ASSERT_TRUE(cdg.try_add_path(std::vector<ChannelId>{c, a}));
+  EXPECT_FALSE(cdg.try_add_path(std::vector<ChannelId>{a, b, c}));
+  EXPECT_EQ(cdg.num_cycle_rejects(), 1U);
+  EXPECT_FALSE(cdg.has_edge(a, b));
+
+  EXPECT_TRUE(cdg.try_add_path(std::vector<ChannelId>{b, c}));
+  EXPECT_TRUE(cdg.has_edge(b, c));
+  EXPECT_EQ(cdg.num_cache_rejects(), 0U);
+}
+
+// A cached reject survives try_add_path's own rollback, which restores the
+// graph it was found in, and answers without a search. A remove_path that
+// deletes an edge of its witness path clears it; one that only drops a
+// refcount does not.
+TEST(OnlineCdg, RejectCacheSurvivesRollbackAndClearsOnRemoval) {
+  OnlineCdg cdg(5);
+  const std::vector<ChannelId> chain{1, 2, 3}, detour{1, 4, 3}, back{3, 1};
+  ASSERT_TRUE(cdg.try_add_path(chain));
+  ASSERT_TRUE(cdg.try_add_path(detour));
+  EXPECT_FALSE(cdg.try_add_path(back));  // searched, then cached
+  EXPECT_EQ(cdg.num_cycle_rejects(), 1U);
+
+  // (0,3) is new and needs no reorder; (3,2) is searched and rejected, and
+  // the rollback removes (0,3) again.
+  EXPECT_FALSE(cdg.try_add_path(std::vector<ChannelId>{0, 3, 2}));
+  EXPECT_EQ(cdg.num_cycle_rejects(), 2U);
+  EXPECT_FALSE(cdg.has_edge(0, 3));
+
+  std::uint64_t visits = cdg.num_search_visits();
+  std::uint64_t reorders = cdg.num_reorders();
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 1U);
+  EXPECT_EQ(cdg.num_search_visits(), visits);
+  EXPECT_EQ(cdg.num_reorders(), reorders);
+
+  // Dropping one of two references to (1,2) removes no edge: still a hit.
+  ASSERT_TRUE(cdg.try_add_path(std::vector<ChannelId>{1, 2}));
+  cdg.remove_path(std::vector<ChannelId>{1, 2});
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 2U);
+  EXPECT_EQ(cdg.num_search_visits(), visits);
+
+  // Removing the chain deletes (1,2) and (2,3): the pair is searched again
+  // and still rejected, now through the detour.
+  cdg.remove_path(chain);
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 2U);
+  EXPECT_EQ(cdg.num_cycle_rejects(), 3U);
+  EXPECT_GT(cdg.num_search_visits(), visits);
+
+  // With the detour gone too, nothing leads from 1 back to 3.
+  cdg.remove_path(detour);
+  EXPECT_TRUE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 2U);
 }
 
 TEST(OnlineCdg, SelfLoopRejected) {
@@ -213,6 +306,7 @@ TEST(FirstFitLayerer, GroupRolledBackLandsInNextLayer) {
   EXPECT_EQ(layers.place(group), 1);
   EXPECT_EQ(layers.work().attempts, 3u);
   EXPECT_EQ(layers.work().cycle_rejects, 1u);
+  EXPECT_EQ(layers.work().cache_rejects, 0u);
   EXPECT_EQ(layers.topological_order(0), (std::vector<ChannelId>{0, 1}));
   EXPECT_EQ(layers.topological_order(1).size(), 4u);
   EXPECT_TRUE(layers.topological_order(2).empty());  // never opened

@@ -376,6 +376,41 @@ TEST(ServiceCore, LookupBeforeRouteAndBadIdsAreStructuredErrors) {
   EXPECT_EQ(core.handle(make_fault(bad)).status, Status::kErrBadArgument);
 }
 
+// service/errors counts every non-ok reply; service/errors/<status> splits
+// it, so a client probing node types (bad_argument) stays apart from the
+// failures an operator must see. Statuses that never occurred have no key.
+TEST(ServiceCore, ErrorsAreCountedPerStatus) {
+  obs::Registry reg;
+  ServiceCoreOptions options;
+  options.metrics = &reg;
+  ServiceCore core(make_kary_ntree(4, 2), options);
+
+  EXPECT_EQ(core.handle(make_lookup(0, 1)).status, Status::kErrNotRouted);
+  ServiceRequest route;
+  route.kind = MsgKind::kRoute;
+  ASSERT_EQ(core.handle(route).status, Status::kOk);
+  const Network& net = core.topo().net;
+  const NodeId a_switch = net.switches().front();
+  const NodeId a_terminal = net.terminals().front();
+  for (int probe = 0; probe < 3; ++probe) {
+    EXPECT_EQ(core.handle(make_lookup(a_terminal, a_terminal)).status,
+              Status::kErrBadArgument);
+  }
+  EXPECT_EQ(core.handle(make_lookup(a_switch, a_terminal)).status,
+            Status::kOk);
+  core.begin_drain();
+  EXPECT_EQ(core.handle(make_lookup(a_switch, a_terminal)).status,
+            Status::kErrDraining);
+
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.at("service/errors").value, 5u);
+  EXPECT_EQ(snap.at("service/errors/not_routed").value, 1u);
+  EXPECT_EQ(snap.at("service/errors/bad_argument").value, 3u);
+  EXPECT_EQ(snap.at("service/errors/draining").value, 1u);
+  EXPECT_EQ(snap.count("service/errors/ok"), 0u);
+  EXPECT_EQ(snap.count("service/errors/route_failed"), 0u);
+}
+
 TEST(ServiceCore, LookupDuringRepairSeesOldOrNewSnapshotNeverTorn) {
   obs::Registry reg;
   Topology served = make_kary_ntree(4, 2);
