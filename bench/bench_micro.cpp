@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the hot kernels: the per-destination
 // Dijkstra loop, the offline CDG build alone and with the resumable cycle
 // search, the Pearce-Kelly online CDG (one CDG, and DFSSSP(online)'s
-// first-fit over layers), the heap, and one congestion-simulation pattern.
+// first-fit over layers), the certificate's maker and checker, the heap,
+// and one congestion-simulation pattern.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
+#include "analysis/certificate.hpp"
 #include "cdg/cdg.hpp"
 #include "cdg/online.hpp"
 #include "common/heap.hpp"
@@ -87,17 +89,21 @@ struct Fig9Paths {
   std::uint32_t num_channels = 0;
 };
 
-Fig9Paths fig9_paths() {
+Topology fig9_topology() {
   Rng rng(0xF169'0000ULL + 200);
-  Topology topo = make_random(128, 16, 200, 16, rng);
+  return make_random(128, 16, 200, 16, rng);
+}
+
+Fig9Paths fig9_paths() {
+  const Topology topo = fig9_topology();
   RouteResponse sssp = route_sssp(topo.net, SsspOptions{.balance = true});
   return {collect_paths(topo.net, sssp.table),
           static_cast<std::uint32_t>(topo.net.num_channels())};
 }
 
 // The Cdg build alone over every path of that fabric: what layer 0 of
-// Algorithm 2 and a one-layer certificate pay before any search.
-// Items = (u, v, path) dependencies bucketed.
+// Algorithm 2 pays before any search. Items = (u, v, path) dependencies
+// bucketed.
 void BM_CdgBuild(benchmark::State& state) {
   const Fig9Paths fabric = fig9_paths();
   std::vector<std::uint32_t> members(fabric.paths.size());
@@ -135,6 +141,48 @@ void BM_OnlineFirstFit(benchmark::State& state) {
                           static_cast<std::int64_t>(paths.size()));
 }
 BENCHMARK(BM_OnlineFirstFit);
+
+// The certificate of that fabric's DFSSSP(online) routing, routed once
+// outside the timed loop: the maker's early-stopping table walk plus one
+// Kahn sort per layer, and the checker's full walk of every path.
+// Items = (source switch, destination) paths certified.
+RouteResponse fig9_online(const Topology& topo) {
+  DfssspOptions opts;
+  opts.mode = LayeringMode::kOnline;
+  opts.max_layers = 16;
+  return DfssspRouter(opts).route(RouteRequest(topo));
+}
+
+void BM_MakeCertificate(benchmark::State& state) {
+  const Topology topo = fig9_topology();
+  const RouteResponse out = fig9_online(topo);
+  const std::uint64_t paths =
+      check_certificate(topo.net, out.table,
+                        make_certificate(topo.net, out.table).cert)
+          .paths_checked;
+  for (auto _ : state) {
+    CertificateResult cert = make_certificate(topo.net, out.table);
+    benchmark::DoNotOptimize(cert);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths));
+}
+BENCHMARK(BM_MakeCertificate);
+
+void BM_CheckCertificate(benchmark::State& state) {
+  const Topology topo = fig9_topology();
+  const RouteResponse out = fig9_online(topo);
+  const Certificate cert = make_certificate(topo.net, out.table).cert;
+  std::uint64_t paths = 0;
+  for (auto _ : state) {
+    CertCheckResult check = check_certificate(topo.net, out.table, cert);
+    paths = check.paths_checked;
+    benchmark::DoNotOptimize(check);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths));
+}
+BENCHMARK(BM_CheckCertificate);
 
 void BM_HeapPushPop(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

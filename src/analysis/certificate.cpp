@@ -1,28 +1,207 @@
 #include "analysis/certificate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
-#include "cdg/cdg.hpp"
-#include "routing/collect.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "routing/dump.hpp"
 
 namespace dfsssp {
 
 namespace {
 
-constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
+/// The switch index of a channel end that is a terminal.
+constexpr std::uint32_t kNoSwitch = std::numeric_limits<std::uint32_t>::max();
 
 std::string channel_name(const Network& net, ChannelId c) {
   const Channel& ch = net.channel(c);
   return net.node_name(ch.src) + "->" + net.node_name(ch.dst);
+}
+
+// ---- the maker --------------------------------------------------------------
+
+/// The channels as the maker's walk sees them, and the slot numbering of a
+/// layer's dependency set. A dependency (u, v) has u entering some switch w
+/// and v leaving it toward a switch; its slot is u's first slot plus v's
+/// position among w's physical switch-bound out-channels (physical, because
+/// a table may still name a dead channel). One bit per slot is then a
+/// layer's whole adjacency: u's successors are the set bits of u's slot
+/// range, in the order of w's out-channels.
+struct PairSlots {
+  std::vector<std::uint32_t> tail;        // per channel: source switch index
+  std::vector<std::uint32_t> head;        // per channel: target switch index
+  std::vector<std::uint32_t> out_pos;     // per channel: index at its tail
+  std::vector<std::uint32_t> out_first;   // per switch index, + 1
+  std::vector<ChannelId> out;             // switch-bound out-channels
+  std::vector<std::uint64_t> first_slot;  // per channel, + 1
+
+  explicit PairSlots(const Network& net);
+
+  std::uint64_t num_words() const { return (first_slot.back() + 63) / 64; }
+  std::uint64_t slot(ChannelId u, ChannelId v) const {
+    return first_slot[u] + out_pos[v];
+  }
+};
+
+PairSlots::PairSlots(const Network& net) {
+  const std::size_t num_channels = net.num_channels();
+  const std::size_t num_switches = net.num_switches();
+  auto switch_index = [&](NodeId n) {
+    return net.is_switch(n) ? net.node(n).type_index : kNoSwitch;
+  };
+  tail.resize(num_channels);
+  head.resize(num_channels);
+  for (ChannelId c = 0; c < num_channels; ++c) {
+    tail[c] = switch_index(net.channel(c).src);
+    head[c] = switch_index(net.channel(c).dst);
+  }
+  out_pos.assign(num_channels, 0);
+  out_first.assign(num_switches + 1, 0);
+  for (std::uint32_t i = 0; i < num_switches; ++i) {
+    std::uint32_t k = 0;
+    for (ChannelId c : net.out_channels_all(net.switch_by_index(i))) {
+      if (head[c] == kNoSwitch) continue;
+      out_pos[c] = k++;
+      out.push_back(c);
+    }
+    out_first[i + 1] = out_first[i] + k;
+  }
+  first_slot.assign(num_channels + 1, 0);
+  for (ChannelId c = 0; c < num_channels; ++c) {
+    const std::uint32_t h = head[c];
+    const bool between_switches = tail[c] != kNoSwitch && h != kNoSwitch;
+    const std::uint32_t degree =
+        between_switches ? out_first[h + 1] - out_first[h] : 0;
+    first_slot[c + 1] = first_slot[c] + degree;
+  }
+}
+
+/// One thread's share of the walks: per layer value, the dependency bits of
+/// the destinations it walked (empty for a layer it never met).
+struct WalkShare {
+  std::vector<std::vector<std::uint64_t>> bits;
+  Layer max_layer = 0;
+  std::uint64_t hops = 0;
+};
+
+[[noreturn]] void throw_broken(const Network& net, std::uint32_t src,
+                               NodeId t, std::uint32_t at, const char* what) {
+  throw std::runtime_error(
+      "make_certificate: broken forwarding path " +
+      net.node_name(net.switch_by_index(src)) + " -> " + net.node_name(t) +
+      " (" + what + " at " + net.node_name(net.switch_by_index(at)) + ")");
+}
+
+/// Walks the paths toward terminals [first, last). Per destination the
+/// sources (switch indices) are taken layer by layer, and a walk stops at
+/// the first switch an earlier walk of the same layer passed: from there on
+/// the path is the one that walk already marked.
+WalkShare walk_destinations(const Network& net, const RoutingTable& table,
+                            const PairSlots& slots,
+                            std::span<const std::uint32_t> sources,
+                            std::size_t first, std::size_t last) {
+  const std::size_t num_switches = net.num_switches();
+  const std::uint32_t num_channels =
+      static_cast<std::uint32_t>(net.num_channels());
+  WalkShare share;
+  share.bits.resize(kInvalidLayer);
+  // Stamp of the last walk through each switch. Stamps only grow, so a
+  // switch carries the current (destination, layer) group iff its mark is
+  // above the group's base, and the current walk was there iff the mark
+  // is the walk's own stamp.
+  std::vector<std::uint64_t> mark(num_switches, 0);
+  std::uint64_t stamp = 0;
+  std::uint64_t hops = 0;
+  std::vector<ChannelId> next(num_switches);  // the destination's column
+  // 32 bits wide: a one-byte store may alias anything, which would make
+  // every later table read reload.
+  std::vector<std::uint32_t> src_layer(sources.size());
+  std::vector<std::uint32_t> by_layer;
+  std::array<std::uint32_t, kInvalidLayer> end{};
+  for (std::size_t ti = first; ti < last; ++ti) {
+    const NodeId t = net.terminal_by_index(static_cast<std::uint32_t>(ti));
+    if (!net.terminal_alive(t)) continue;
+    const std::uint32_t dst = net.node(net.switch_of(t)).type_index;
+    for (std::uint32_t i = 0; i < num_switches; ++i) {
+      next[i] = table.next(net.switch_by_index(i), t);
+    }
+
+    // Counting sort of the sources by layer; stable, so each layer's group
+    // keeps source order. Afterwards end[l] is one past group l.
+    std::uint32_t top = 0;  // one past the highest layer seen
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (sources[i] == dst) continue;
+      const Layer l = table.layer(net.switch_by_index(sources[i]), t);
+      if (l == kInvalidLayer) {
+        throw std::runtime_error(
+            "make_certificate: path " +
+            net.node_name(net.switch_by_index(sources[i])) + " -> " +
+            net.node_name(t) + " has no layer");
+      }
+      for (; top <= l; ++top) end[top] = 0;
+      src_layer[i] = l;
+      ++end[l];
+    }
+    std::uint32_t total = 0;
+    for (std::uint32_t l = 0; l < top; ++l) {
+      total += end[l];
+      end[l] = total - end[l];
+    }
+    by_layer.resize(total);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (sources[i] != dst) by_layer[end[src_layer[i]]++] = sources[i];
+    }
+
+    std::uint32_t begin = 0;
+    for (std::uint32_t l = 0; l < top; ++l) {
+      if (begin == end[l]) continue;
+      share.max_layer = std::max(share.max_layer, static_cast<Layer>(l));
+      std::vector<std::uint64_t>& bits = share.bits[l];
+      if (bits.empty()) bits.assign(slots.num_words(), 0);
+      const std::uint64_t group = stamp;
+      for (; begin < end[l]; ++begin) {
+        const std::uint32_t src = by_layer[begin];
+        const std::uint64_t walk = ++stamp;
+        ChannelId in = kInvalidChannel;
+        std::uint32_t cur = src;
+        for (;;) {
+          std::uint64_t& seen = mark[cur];
+          if (seen == walk) throw_broken(net, src, t, cur, "forwarding loop");
+          const bool carried = seen > group;
+          const ChannelId c = next[cur];
+          ++hops;
+          if (c >= num_channels) throw_broken(net, src, t, cur, "dead end");
+          if (slots.tail[c] != cur) {
+            throw_broken(net, src, t, cur, "next channel leaves another node");
+          }
+          if (slots.head[c] == kNoSwitch) {
+            throw_broken(net, src, t, cur, "next channel enters a terminal");
+          }
+          if (in != kInvalidChannel) {
+            const std::uint64_t s = slots.slot(in, c);
+            bits[s / 64] |= std::uint64_t{1} << (s % 64);
+          }
+          if (carried) break;
+          seen = walk;
+          in = c;
+          cur = slots.head[c];
+          if (cur == dst) break;
+        }
+      }
+    }
+  }
+  share.hops = hops;
+  return share;
 }
 
 /// Canonical topological order of one layer's CDG: Kahn's algorithm with a
@@ -33,27 +212,30 @@ struct LayerOrder {
   std::vector<ChannelId> order;
 };
 
-LayerOrder order_one_layer(const PathSet& paths,
-                           std::span<const Layer> layer, Layer which,
-                           std::uint32_t num_channels) {
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    if (layer[p] == which && paths.channels(p).size() >= 2) {
-      members.push_back(p);
-    }
-  }
+LayerOrder order_one_layer(const Network& net, const PairSlots& slots,
+                           std::span<const std::uint64_t> bits) {
   LayerOrder result;
-  if (members.empty()) return result;
+  if (bits.empty()) return result;
+  const std::uint32_t num_channels =
+      static_cast<std::uint32_t>(net.num_channels());
+  auto for_each_successor = [&](ChannelId u, auto&& visit) {
+    const std::uint64_t first = slots.first_slot[u];
+    const std::uint64_t last = slots.first_slot[u + 1];
+    if (first == last) return;
+    const ChannelId* out = slots.out.data() + slots.out_first[slots.head[u]];
+    for (std::uint64_t s = first; s < last; ++s) {
+      if ((bits[s / 64] >> (s % 64) & 1) != 0) visit(out[s - first]);
+    }
+  };
 
-  Cdg cdg(paths, members, num_channels);
   std::vector<std::uint32_t> indegree(num_channels, 0);
   std::vector<std::uint8_t> present(num_channels, 0);
   for (ChannelId u = 0; u < num_channels; ++u) {
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      ++indegree[e.to];
+    for_each_successor(u, [&](ChannelId v) {
+      ++indegree[v];
       present[u] = 1;
-      present[e.to] = 1;
-    }
+      present[v] = 1;
+    });
   }
   std::uint32_t num_present = 0;
   std::priority_queue<ChannelId, std::vector<ChannelId>,
@@ -69,9 +251,9 @@ LayerOrder order_one_layer(const PathSet& paths,
     const ChannelId u = ready.top();
     ready.pop();
     result.order.push_back(u);
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      if (--indegree[e.to] == 0) ready.push(e.to);
-    }
+    for_each_successor(u, [&](ChannelId v) {
+      if (--indegree[v] == 0) ready.push(v);
+    });
   }
   if (result.order.size() < num_present) {
     result.acyclic = false;
@@ -82,47 +264,65 @@ LayerOrder order_one_layer(const PathSet& paths,
 
 }  // namespace
 
-CertificateResult make_certificate(const PathSet& paths,
-                                   std::span<const Layer> layer,
-                                   std::uint32_t num_channels,
-                                   const ExecContext& exec) {
-  Layer num_layers = 1;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    num_layers = std::max<Layer>(num_layers, layer[p] + 1);
-  }
-  auto per_layer =
-      parallel_map(exec, num_layers, [&](std::size_t l) {
-        return order_one_layer(paths, layer, static_cast<Layer>(l),
-                               num_channels);
-      });
-  CertificateResult result;
-  result.cert.num_layers = num_layers;
-  result.cert.order.resize(num_layers);
-  for (std::size_t l = 0; l < per_layer.size(); ++l) {
-    if (!per_layer[l].acyclic) {
-      result.ok = false;
-      result.cyclic_layer = static_cast<Layer>(l);
-      result.cert = Certificate{};
-      return result;
-    }
-    result.cert.order[l] = std::move(per_layer[l].order);
-  }
-  result.ok = true;
-  return result;
-}
-
 CertificateResult make_certificate(const Network& net,
                                    const RoutingTable& table,
                                    const ExecContext& exec) {
-  const PathSet paths = collect_paths(net, table);
-  const std::vector<Layer> layers = collect_layers(net, table, paths);
-  CertificateResult result = make_certificate(
-      paths, layers, static_cast<std::uint32_t>(net.num_channels()), exec);
-  if (result.ok && result.cert.num_layers < table.num_layers()) {
-    // Declared-but-unused layers have empty CDGs: vacuously acyclic, and
-    // the checker requires the layer counts to agree.
-    result.cert.order.resize(table.num_layers());
-    result.cert.num_layers = table.num_layers();
+  obs::TraceSpan span("certificate/make");
+  const PairSlots slots(net);
+  std::vector<std::uint32_t> sources;
+  for (NodeId sw : net.switches()) {
+    if (net.terminals_on(sw) > 0 && net.switch_up(sw)) {
+      sources.push_back(net.node(sw).type_index);
+    }
+  }
+
+  // One block of destinations per thread, each with its own marks; the
+  // blocks' bits are OR-merged, which no split can change.
+  const std::size_t num_terminals = net.num_terminals();
+  const std::size_t blocks = std::max<std::size_t>(
+      1, std::min<std::size_t>(exec.num_threads(), num_terminals));
+  std::vector<WalkShare> shares =
+      parallel_map(exec, blocks, [&](std::size_t b) {
+        return walk_destinations(net, table, slots, sources,
+                                 b * num_terminals / blocks,
+                                 (b + 1) * num_terminals / blocks);
+      });
+  WalkShare& all = shares.front();
+  for (std::size_t b = 1; b < shares.size(); ++b) {
+    all.hops += shares[b].hops;
+    all.max_layer = std::max(all.max_layer, shares[b].max_layer);
+    for (std::size_t l = 0; l < all.bits.size(); ++l) {
+      std::vector<std::uint64_t>& from = shares[b].bits[l];
+      std::vector<std::uint64_t>& into = all.bits[l];
+      if (into.empty()) {
+        into.swap(from);
+      } else if (!from.empty()) {
+        for (std::size_t w = 0; w < into.size(); ++w) into[w] |= from[w];
+      }
+    }
+  }
+  static obs::Counter& c_hops =
+      obs::registry().counter("certificate/walk_hops");
+  c_hops.tally(all.hops);
+
+  const Layer num_layers = static_cast<Layer>(all.max_layer + 1);
+  auto per_layer = parallel_map(exec, num_layers, [&](std::size_t l) {
+    return order_one_layer(net, slots, all.bits[l]);
+  });
+  CertificateResult result;
+  for (std::size_t l = 0; l < per_layer.size(); ++l) {
+    if (!per_layer[l].acyclic) {
+      result.cyclic_layer = static_cast<Layer>(l);
+      return result;
+    }
+  }
+  result.ok = true;
+  // Declared-but-unused layers have empty CDGs: vacuously acyclic, and the
+  // checker requires the layer counts to agree.
+  result.cert.num_layers = std::max(num_layers, table.num_layers());
+  result.cert.order.resize(result.cert.num_layers);
+  for (std::size_t l = 0; l < per_layer.size(); ++l) {
+    result.cert.order[l] = std::move(per_layer[l].order);
   }
   return result;
 }
@@ -253,9 +453,10 @@ Certificate read_certificate_path(const Network& net,
   return read_certificate(net, in, path);
 }
 
-CertCheckResult check_certificate(const Network& net,
-                                  const RoutingTable& table,
-                                  const Certificate& cert) {
+namespace {
+
+CertCheckResult check_walks(const Network& net, const RoutingTable& table,
+                            const Certificate& cert) {
   CertCheckResult result;
   auto reject = [&](std::string why) {
     result.ok = false;
@@ -275,67 +476,140 @@ CertCheckResult check_certificate(const Network& net,
                   std::to_string(unsigned(cert.num_layers)) + " layers");
   }
 
-  // Position of each channel within its layer's topological order.
+  // One past each channel's position within its layer's topological order
+  // (0: not listed), every layer in one flat array: pos[l * num_channels + c].
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
-  std::vector<std::vector<std::uint32_t>> pos(
-      cert.num_layers, std::vector<std::uint32_t>(num_channels, kNoPos));
+  std::vector<std::uint32_t> pos(std::size_t{cert.num_layers} * num_channels,
+                                 0);
   for (std::size_t l = 0; l < cert.order.size(); ++l) {
+    std::uint32_t* layer_pos = pos.data() + l * num_channels;
     for (std::size_t i = 0; i < cert.order[l].size(); ++i) {
       const ChannelId c = cert.order[l][i];
-      if (pos[l][c] != kNoPos) {
+      if (c >= num_channels) {
+        return reject("layer " + std::to_string(l) + ": order entry " +
+                      std::to_string(i) + " names channel id " +
+                      std::to_string(c) + ", but the network has " +
+                      std::to_string(num_channels) + " channels");
+      }
+      if (layer_pos[c] != 0) {
         return reject("layer " + std::to_string(l) +
                       ": channel " + channel_name(net, c) +
                       " listed twice in the order");
       }
-      pos[l][c] = static_cast<std::uint32_t>(i);
+      layer_pos[c] = static_cast<std::uint32_t>(i + 1);
     }
   }
 
-  // One pass over every forwarding path; no cycle search anywhere.
-  std::vector<ChannelId> seq;
-  for (NodeId sw : net.switches()) {
-    if (net.terminals_on(sw) == 0 || !net.switch_up(sw)) continue;
-    for (NodeId t : net.terminals()) {
-      if (net.switch_of(t) == sw || !net.terminal_alive(t)) continue;
+  // Every path walked in full, hop by hop, one destination at a time; no
+  // cycle search anywhere, and no step shared with the maker's walk. The
+  // walk runs on switch indices: per channel, the switch it leaves and the
+  // one it enters (kNoSwitch at a terminal end).
+  const std::size_t num_switches = net.num_switches();
+  auto switch_index = [&](NodeId n) {
+    return net.is_switch(n) ? net.node(n).type_index : kNoSwitch;
+  };
+  std::vector<std::uint32_t> from(num_channels), to(num_channels);
+  for (ChannelId c = 0; c < num_channels; ++c) {
+    from[c] = switch_index(net.channel(c).src);
+    to[c] = switch_index(net.channel(c).dst);
+  }
+  std::vector<std::uint8_t> source(num_switches);  // up, with terminals
+  for (std::uint32_t i = 0; i < num_switches; ++i) {
+    const NodeId sw = net.switch_by_index(i);
+    source[i] = net.terminals_on(sw) > 0 && net.switch_up(sw);
+  }
+  std::vector<ChannelId> next(num_switches);  // the destination's column
+  for (NodeId t : net.terminals()) {
+    if (!net.terminal_alive(t)) continue;
+    const std::uint32_t dst = net.node(net.switch_of(t)).type_index;
+    for (std::uint32_t i = 0; i < num_switches; ++i) {
+      next[i] = table.next(net.switch_by_index(i), t);
+    }
+    for (std::uint32_t i = 0; i < num_switches; ++i) {
+      if (i == dst || !source[i]) continue;
+      const NodeId sw = net.switch_by_index(i);
       // Formatted only on a reject: the name costs more than the check.
       auto pair_name = [&] {
         return net.node_name(sw) + " -> " + net.node_name(t);
       };
-      if (!table.extract_path(net, sw, t, seq)) {
+      // One pass per path: validate each hop and compare the positions of
+      // consecutive channels, which must both be listed and rise strictly.
+      // The first hop compares against -1, which passes; a path that fails
+      // is walked again to name the failing dependency. A correct path
+      // visits each switch at most once, so a walk longer than the switch
+      // count is a loop.
+      const Layer l = table.layer(sw, t);
+      const std::uint32_t* layer_pos =
+          l < cert.num_layers ? pos.data() + std::size_t{l} * num_channels
+                              : nullptr;
+      std::uint32_t hops = 0;
+      std::int64_t pa = -1;
+      bool bad = false;
+      bool broken = false;
+      for (std::uint32_t cur = i; cur != dst;) {
+        const ChannelId c = next[cur];
+        if (c >= num_channels || from[c] != cur || to[c] == kNoSwitch ||
+            hops == num_switches) {
+          broken = true;
+          break;
+        }
+        if (layer_pos != nullptr) {
+          const std::int64_t pb = layer_pos[c];
+          bad |= pa == 0 || pa >= pb;
+          pa = pb;
+        }
+        ++hops;
+        cur = to[c];
+      }
+      if (broken) {
         return reject("broken forwarding path " + pair_name() +
                       " (dead end or loop); nothing to certify");
       }
-      const Layer l = table.layer(sw, t);
-      if (l >= cert.num_layers) {
+      if (layer_pos == nullptr) {
         return reject("path " + pair_name() + " on layer " +
                       std::to_string(unsigned(l)) +
                       " beyond the certificate's " +
                       std::to_string(unsigned(cert.num_layers)) + " layers");
       }
       ++result.paths_checked;
-      for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-        const std::uint32_t pa = pos[l][seq[i]];
-        const std::uint32_t pb = pos[l][seq[i + 1]];
-        if (pa == kNoPos || pb == kNoPos) {
-          const ChannelId missing = pa == kNoPos ? seq[i] : seq[i + 1];
-          return reject("layer " + std::to_string(unsigned(l)) +
-                        ": channel " + channel_name(net, missing) +
-                        " used by path " + pair_name() +
-                        " is missing from the order");
-        }
-        if (pa >= pb) {
-          return reject("layer " + std::to_string(unsigned(l)) +
-                        ": dependency " + channel_name(net, seq[i]) +
-                        " => " + channel_name(net, seq[i + 1]) +
-                        " of path " + pair_name() +
-                        " violates the topological order");
-        }
-        ++result.deps_checked;
+      if (!bad) {
+        if (hops > 1) result.deps_checked += hops - 1;
+        continue;
       }
+      ChannelId a = next[i];
+      ChannelId b = next[to[a]];
+      while (layer_pos[a] != 0 && layer_pos[a] < layer_pos[b]) {
+        ++result.deps_checked;
+        a = b;
+        b = next[to[a]];
+      }
+      if (layer_pos[a] == 0 || layer_pos[b] == 0) {
+        const ChannelId missing = layer_pos[a] == 0 ? a : b;
+        return reject("layer " + std::to_string(unsigned(l)) + ": channel " +
+                      channel_name(net, missing) + " used by path " +
+                      pair_name() + " is missing from the order");
+      }
+      return reject("layer " + std::to_string(unsigned(l)) + ": dependency " +
+                    channel_name(net, a) + " => " + channel_name(net, b) +
+                    " of path " + pair_name() +
+                    " violates the topological order");
     }
   }
   result.ok = true;
+  return result;
+}
+
+}  // namespace
+
+CertCheckResult check_certificate(const Network& net,
+                                  const RoutingTable& table,
+                                  const Certificate& cert) {
+  obs::TraceSpan span("certificate/check");
+  CertCheckResult result = check_walks(net, table, cert);
+  static obs::Counter& c_deps =
+      obs::registry().counter("certificate/deps_checked");
+  c_deps.tally(result.deps_checked);
   return result;
 }
 

@@ -20,11 +20,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "cdg/paths.hpp"
 #include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "routing/table.hpp"
@@ -50,17 +48,18 @@ struct CertificateResult {
   Certificate cert;
 };
 
-/// Builds the certificate for a path set + layer assignment: one Kahn
-/// topological sort per layer, layers fanned out over `exec`'s threads.
-/// The order within each layer is canonical (smallest channel id first
-/// among ready nodes), so the result is identical at any thread count.
-CertificateResult make_certificate(const PathSet& paths,
-                                   std::span<const Layer> layer,
-                                   std::uint32_t num_channels,
-                                   const ExecContext& exec = {});
-
-/// Convenience: collect paths and layers out of a finished routing first.
-/// Throws std::runtime_error when a forwarding walk is broken.
+/// Builds the certificate straight from a finished routing's forwarding
+/// table: one Kahn topological sort per layer over that layer's dependency
+/// set. The set is read with one early-stopping walk per (source switch,
+/// destination): destination-based forwarding makes a destination's paths
+/// one tree, so a walk stops at the first switch an earlier walk of the
+/// same layer and destination already passed. Destinations are split over
+/// `exec`'s threads and layers sorted on them; the order within each layer
+/// is canonical (smallest channel id first among ready nodes), so the
+/// result is identical at any thread count. Throws std::runtime_error when
+/// a forwarding walk is broken (dead end, loop, a next channel that does
+/// not leave the current switch or that enters a terminal) or a path has
+/// no layer.
 CertificateResult make_certificate(const Network& net,
                                    const RoutingTable& table,
                                    const ExecContext& exec = {});
@@ -97,11 +96,13 @@ struct CertCheckResult {
 };
 
 /// The independent checker: validates `cert` against a routing in one
-/// O(V + E) pass with no cycle search. Rejects when the layer counts
-/// disagree, a layer's order lists a channel twice, a path's layer has no
-/// order, a dependency's channel is missing from its layer's order, a
-/// dependency violates the order, or a forwarding walk is broken (a path
-/// that cannot be walked cannot be certified).
+/// O(V + E) pass with no cycle search. It walks every path hop by hop and
+/// shares no walk code with make_certificate. Rejects when the layer
+/// counts disagree, a layer's order lists a channel twice or names a
+/// channel id the network does not have, a path's layer has no order, a
+/// dependency's channel is missing from its layer's order, a dependency
+/// violates the order, or a forwarding walk is broken (a path that cannot
+/// be walked cannot be certified).
 CertCheckResult check_certificate(const Network& net,
                                   const RoutingTable& table,
                                   const Certificate& cert);

@@ -37,7 +37,9 @@ namespace dfsssp {
 /// member order, then, per bucket, sort only its distinct successors v (at
 /// most the switch's out-degree) and place each path into its edge. Edges
 /// come out in (u, v) order, and each edge's path list in member order.
-/// Algorithm 2, the certificate and the witness all use this one build.
+/// Algorithm 2 and the witness use this one build. The certificate does
+/// not: it reads each layer's dependency set straight from the forwarding
+/// table (analysis/certificate.hpp), since it needs no path lists.
 class Cdg {
  public:
   /// Builds the CDG induced by `members` (indices into `paths`, any order,

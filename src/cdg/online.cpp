@@ -166,13 +166,13 @@ bool OnlineCdg::reorder(ChannelId u, ChannelId v) {
   return true;
 }
 
-bool OnlineCdg::try_add_path(std::span<const ChannelId> channels) {
-  const std::uint64_t committed = num_insertions_;
+bool OnlineCdg::try_add_path(std::span<const ChannelId> channels,
+                             std::uint64_t group_start) {
   std::size_t added = 0;
   bool ok = true;
   for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
     if (!add_edge(channels[i], channels[i + 1],
-                  num_insertions_ == committed)) {
+                  num_insertions_ == group_start)) {
       ok = false;
       break;
     }
@@ -200,6 +200,16 @@ void OnlineCdg::remove_path(std::span<const ChannelId> channels) {
   --num_paths_;
 }
 
+void OnlineCdg::roll_back_group(
+    std::span<const std::span<const ChannelId>> paths) {
+  for (std::span<const ChannelId> path : paths) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      remove_edge(path[i], path[i + 1]);
+    }
+    --num_paths_;
+  }
+}
+
 // One path at a time is the hot case (DFSSSP online, repairs); routed
 // through the group loop below, its first-fit ran ~5% slower (Figure 9
 // fabrics, GCC 12 -O3, x86-64).
@@ -218,10 +228,13 @@ Layer FirstFitLayerer::place(
     if (l == layers_.size()) layers_.emplace_back(num_channels_);
     ++attempts_;
     OnlineCdg& cdg = layers_[l];
+    const std::uint64_t start = cdg.num_insertions();
     std::size_t taken = 0;
-    while (taken < group.size() && cdg.try_add_path(group[taken])) ++taken;
+    while (taken < group.size() && cdg.try_add_path(group[taken], start)) {
+      ++taken;
+    }
     if (taken == group.size()) return l;
-    while (taken > 0) cdg.remove_path(group[--taken]);
+    cdg.roll_back_group(group.first(taken));
   }
   return kInvalidLayer;
 }

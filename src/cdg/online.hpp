@@ -27,10 +27,13 @@
 // without a search. Three rules keep the cache exact:
 //  - A searched reject is recorded only while the current try_add_path has
 //    inserted no new edge of its own; otherwise the witness path may run
-//    through a prefix edge that the call's rollback then removes.
+//    through a prefix edge that the call's rollback then removes. A member
+//    of a group (LASH: both directions of a switch pair) extends this to
+//    the whole group: nothing is recorded once the group inserted an edge.
 //  - remove_path clears the cache when an edge's refcount reaches zero.
 //    try_add_path's own rollback does not: it restores exactly the graph
-//    the cached rejects were found in.
+//    the cached rejects were found in. Neither does roll_back_group, by
+//    the group rule: every entry was found in the graph it restores.
 //  - A rejected reorder never changes the order, so a cached reject leaves
 //    ord, topological_order() and every acceptance exactly as a search
 //    would. A cached (u,v) has ord(v) < ord(u), so it is only looked up on
@@ -58,12 +61,21 @@ class OnlineCdg {
   /// Adds the dependency edges of one path (consecutive channel pairs).
   /// Returns true and commits when the graph stays acyclic; returns false
   /// and rolls back every edge of this call otherwise.
-  bool try_add_path(std::span<const ChannelId> channels);
+  bool try_add_path(std::span<const ChannelId> channels) {
+    return try_add_path(channels, num_insertions_);
+  }
+  /// The same for a member of a group begun when num_insertions() read
+  /// `group_start`: records a reject only while the group added no edge.
+  bool try_add_path(std::span<const ChannelId> channels,
+                    std::uint64_t group_start);
 
-  /// Removes a previously committed path's edges (refcount-decrement).
-  /// Used to roll back multi-path transactions (e.g. LASH's bidirectional
-  /// switch-pair assignment).
+  /// Removes a previously committed path's edges (refcount-decrement);
+  /// clears the reject cache when an edge goes.
   void remove_path(std::span<const ChannelId> channels);
+
+  /// Removes `paths`, the members of a group taken before a later member
+  /// was rejected; keeps the reject cache (see the group rule above).
+  void roll_back_group(std::span<const std::span<const ChannelId>> paths);
 
   std::uint64_t num_paths() const { return num_paths_; }
   std::uint64_t num_edges() const { return num_edges_; }

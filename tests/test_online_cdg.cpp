@@ -313,6 +313,46 @@ TEST(FirstFitLayerer, GroupRolledBackLandsInNextLayer) {
   EXPECT_EQ(layers.layers_used(), 2);
 }
 
+// A reject found after the group added an edge is not kept: here the cycle
+// 1 -> 2 -> 3 -> 1 runs through the group's own new edge 2 -> 3, so once
+// the rollback removed that edge, 3 -> 1 alone fits the layer.
+TEST(FirstFitLayerer, GroupRejectThroughItsOwnEdgeIsNotKept) {
+  FirstFitLayerer layers(4, 1);
+  EXPECT_EQ(layers.place(std::vector<ChannelId>{1, 2}), 0);
+
+  const std::vector<ChannelId> first{2, 3}, second{3, 1};
+  const std::span<const ChannelId> group[] = {first, second};
+  EXPECT_EQ(layers.place(group), kInvalidLayer);
+  EXPECT_EQ(layers.work().cycle_rejects, 1u);
+
+  EXPECT_EQ(layers.place(second), 0);
+  EXPECT_EQ(layers.work().cache_rejects, 0u);
+  EXPECT_EQ(layers.work().cycle_rejects, 1u);
+}
+
+// Rejects cached before a group stay valid after its rollback, which only
+// restores the graph they were found in: the pair is answered from the
+// cache again, with no search.
+TEST(FirstFitLayerer, GroupRollbackKeepsOlderRejects) {
+  FirstFitLayerer layers(6, 1);
+  EXPECT_EQ(layers.place(std::vector<ChannelId>{1, 2, 3}), 0);
+  const std::vector<ChannelId> back{3, 1};
+  EXPECT_EQ(layers.place(back), kInvalidLayer);  // searched, then cached
+  EXPECT_EQ(layers.work().cycle_rejects, 1u);
+
+  // 4 -> 5 is new; 3 -> 1 is a cache hit; the rollback removes 4 -> 5.
+  const std::vector<ChannelId> side{4, 5};
+  const std::span<const ChannelId> group[] = {side, back};
+  EXPECT_EQ(layers.place(group), kInvalidLayer);
+  EXPECT_EQ(layers.work().cache_rejects, 1u);
+
+  const std::uint64_t visits = layers.work().search_visits;
+  EXPECT_EQ(layers.place(back), kInvalidLayer);
+  EXPECT_EQ(layers.work().cache_rejects, 2u);
+  EXPECT_EQ(layers.work().cycle_rejects, 1u);
+  EXPECT_EQ(layers.work().search_visits, visits);
+}
+
 TEST(FirstFitLayerer, LayersUsedDropsWhenTopLayerEmpties) {
   FirstFitLayerer layers(3, 2);
   EXPECT_EQ(layers.layers_used(), 1);  // nothing placed yet
