@@ -1,6 +1,6 @@
 // Incremental repair under churn (fault subsystem end-to-end).
 //
-// Drives a seeded stream of link/switch down/up events into a k-ary n-tree
+// Drives a seeded stream of link/switch down/up events into a fabric
 // IN PLACE and repairs after every event with IncrementalDfsssp, validating
 // the repaired table's deadlock-freedom certificate with the independent
 // checker at every step. Two tables (and the --json report used as the
@@ -14,7 +14,10 @@
 //     and the certificate-check failure count (always 0 on a passing run).
 //
 // Extra flags on top of the bench_util set:
-//   --k=K --n=N       fabric (default 32-ary 2-tree: 1024 terminals)
+//   --topo=NAME       fabric by topology config name (`dftopo list`), as
+//                     `dfrouted --topo` takes it
+//   --k=K --n=N       k-ary n-tree fabric when --topo is absent (default
+//                     32-ary 2-tree: 1024 terminals)
 //   --events=E        churn events to generate (default 40)
 //   --event-seed=S    schedule seed
 //   --batch=B         coalesce B consecutive events into one repair via
@@ -25,11 +28,13 @@
 //   --cert-dir=DIR    also write the certificate at every sample point
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "fault/churn.hpp"
 #include "fault/incremental.hpp"
 #include "fault/schedule.hpp"
+#include "topology/configs.hpp"
 
 using namespace dfsssp;
 using namespace dfsssp::bench;
@@ -39,6 +44,7 @@ int main(int argc, char** argv) {
   // Table cells embed wall clock; keep them out of the dfbench quality gate.
   cfg.tables_deterministic = false;
   Cli cli(argc, argv);
+  const std::string topo_name = cli.get("topo", "");
   const std::uint32_t k = static_cast<std::uint32_t>(cli.get_int("k", 32));
   const std::uint32_t n = static_cast<std::uint32_t>(cli.get_int("n", 2));
   const std::uint32_t events =
@@ -53,7 +59,14 @@ int main(int argc, char** argv) {
   const std::string cert_dir = cli.get("cert-dir", "");
   const ExecContext exec = cfg.exec();
 
-  Topology topo = make_kary_ntree(k, n);
+  Topology topo;
+  try {
+    topo = topo_name.empty() ? make_kary_ntree(k, n)
+                             : build_topology_config(topo_name, exec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_churn: %s\n", e.what());
+    return 2;
+  }
   std::printf("fabric: %s (%zu switches, %zu terminals, %zu channels)\n",
               topo.name.c_str(), topo.net.num_switches(),
               topo.net.num_terminals(), topo.net.num_channels());

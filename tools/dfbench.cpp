@@ -158,6 +158,11 @@ std::vector<RosterEntry> roster() {
   // Defaults are the README's headline configuration (32-ary 2-tree,
   // 40 events) and already run in quick-tier time.
   add("churn", "bench_churn", true, {}, {"--events=200"}, 900);
+  // Deimos repairs, unlike the tree's, reject paths in their layers: this
+  // baseline pins the repair's cycle-reject and reject-cache work.
+  add("churn_deimos", "bench_churn", true,
+      {"--topo=deimos", "--events=80", "--batch=4"},
+      {"--topo=deimos", "--events=400", "--batch=4"}, 900);
   // Routing-as-a-service soak: concurrent lookup clients through the
   // service envelope while churn batches repair (RCU snapshot swaps).
   add("soak", "bench_soak", true, {"--events=200", "--clients=4",
