@@ -131,10 +131,10 @@ TEST(OnlineCdg, TwoWaySearchMeetsFromEitherSide) {
 }
 
 // Random inserts and removals against the naive oracle: every answer
-// matches it, and after every step the maintained order places every
-// present edge forward. One step in `remove_one_in` removes a random
-// accepted path; the others try a random simple path of 2 to
-// 1 + `max_extra` channels.
+// matches it, after every step the maintained order places every present
+// edge forward, and an edge whose last path went reads absent. One step in
+// `remove_one_in` removes a random accepted path; the others try a random
+// simple path of 2 to 1 + `max_extra` channels.
 struct OracleCounts {
   std::uint64_t inserts = 0, removals = 0, rejects = 0;
 };
@@ -145,13 +145,21 @@ void run_against_oracle(OnlineCdg& cdg, std::uint32_t nodes,
                         OracleCounts& n) {
   Rng rng(seed);
   std::vector<std::vector<ChannelId>> accepted;
+  // Accepted paths inducing each dependency (u * nodes + v).
+  std::vector<std::uint32_t> refs(std::size_t{nodes} * nodes, 0);
   for (int step = 0; step < steps; ++step) {
     if (!accepted.empty() && rng.next_below(remove_one_in) == 0) {
       const std::size_t i =
           static_cast<std::size_t>(rng.next_below(accepted.size()));
-      cdg.remove_path(accepted[i]);
+      const std::vector<ChannelId> gone = std::move(accepted[i]);
+      cdg.remove_path(gone);
       accepted[i] = std::move(accepted.back());
       accepted.pop_back();
+      for (std::size_t h = 0; h + 1 < gone.size(); ++h) {
+        if (--refs[std::size_t{gone[h]} * nodes + gone[h + 1]] == 0) {
+          ASSERT_FALSE(cdg.has_edge(gone[h], gone[h + 1])) << "step " << step;
+        }
+      }
       ++n.removals;
     } else {
       std::vector<ChannelId> seq;
@@ -173,6 +181,9 @@ void run_against_oracle(OnlineCdg& cdg, std::uint32_t nodes,
       const bool got = cdg.try_add_path(seq);
       ASSERT_EQ(got, oracle) << "step " << step;
       if (got) {
+        for (std::size_t h = 0; h + 1 < seq.size(); ++h) {
+          ++refs[std::size_t{seq[h]} * nodes + seq[h + 1]];
+        }
         accepted.push_back(std::move(seq));
         ++n.inserts;
       } else {
@@ -223,6 +234,98 @@ TEST(OnlineCdg, RejectCacheMatchesOracleWhenRemovalsAreRare) {
   // Hits skip the reorder: every reorder is either accepted or searched.
   EXPECT_GE(cdg.num_reorders(), cdg.num_cycle_rejects());
   EXPECT_GT(cdg.num_cache_rejects() * 4, n.rejects * 3);  // over 3/4 hit
+}
+
+// Half the steps remove a path on a 200-node graph: the edge table grows,
+// shrinks at rehash and erases by backward shift thousands of times, and
+// every answer, order and has_edge still matches the oracle.
+TEST(OnlineCdg, EdgeTableChurnMatchesOracle) {
+  OnlineCdg cdg(200);
+  OracleCounts n;
+  run_against_oracle(cdg, 200, 2027, 3000, 2, 5, n);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(n.inserts, 1000U);
+  EXPECT_GT(n.removals, 1000U);
+  EXPECT_EQ(cdg.num_cycle_rejects() + cdg.num_cache_rejects(), n.rejects);
+}
+
+// The search's work is a function of the edge set and the call sequence
+// alone, so a fixed sequence pins every counter and the order exactly. The
+// values were read from the sorted-adjacency implementation the edge table
+// replaced.
+TEST(OnlineCdg, SearchWorkIsPinned) {
+  OnlineCdg cdg(50);
+  OracleCounts n;
+  run_against_oracle(cdg, 50, 2028, 3000, 4, 5, n);
+  ASSERT_FALSE(HasFatalFailure());
+  std::uint64_t order_hash = 0xCBF29CE484222325ULL;  // FNV-1a
+  for (ChannelId c : cdg.topological_order()) {
+    order_hash = (order_hash ^ c) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(cdg.num_insertions(), 2984U);
+  EXPECT_EQ(cdg.num_reorders(), 2703U);
+  EXPECT_EQ(cdg.num_search_visits(), 16295U);
+  EXPECT_EQ(cdg.num_cycle_rejects(), 1504U);
+  EXPECT_EQ(cdg.num_cache_rejects(), 1U);
+  EXPECT_EQ(order_hash, 0x2D9E48339FA5E0C4ULL);
+}
+
+// A reject cached before the edge table grew twice still answers with no
+// search; an edge's removal makes it stale, so the pair is searched again;
+// the rehash after that drops the stale entries; and a pair whose reject
+// went stale can become an edge.
+TEST(OnlineCdg, RejectCacheSurvivesRehash) {
+  OnlineCdg cdg(300);
+  const std::vector<ChannelId> chain{1, 2, 3}, back{3, 1};
+  ASSERT_TRUE(cdg.try_add_path(chain));
+  EXPECT_FALSE(cdg.try_add_path(back));  // searched, then cached
+  EXPECT_EQ(cdg.num_cycle_rejects(), 1U);
+  const std::uint64_t visits = cdg.num_search_visits();
+
+  // 60 edges in increasing channel order need no reorder and take the
+  // table from 16 slots past 64.
+  std::vector<std::vector<ChannelId>> filler;
+  for (ChannelId c = 10; c < 130; c += 2) {
+    filler.push_back({c, c + 1});
+    ASSERT_TRUE(cdg.try_add_path(filler.back()));
+  }
+  EXPECT_EQ(cdg.num_table_entries(), 63U);  // 62 edges and the reject
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 1U);
+  EXPECT_EQ(cdg.num_search_visits(), visits);
+
+  // Record 20 more rejects, then drop a filler edge: all go stale.
+  for (ChannelId c = 10; c < 50; c += 2) {
+    EXPECT_FALSE(cdg.try_add_path(std::vector<ChannelId>{c + 1, c}));
+  }
+  EXPECT_EQ(cdg.num_cycle_rejects(), 21U);
+  cdg.remove_path(filler.back());
+  filler.pop_back();
+  EXPECT_EQ(cdg.num_table_entries(), 61U + 21U);
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 1U);
+  EXPECT_EQ(cdg.num_cycle_rejects(), 22U);
+  EXPECT_GT(cdg.num_search_visits(), visits);
+  EXPECT_EQ(cdg.num_table_entries(), 61U + 21U);  // reused its stale slot
+
+  // The next growth keeps the edges and the one current reject only.
+  for (ChannelId c = 140; c < 300; c += 2) {
+    const std::size_t entries = cdg.num_table_entries();
+    ASSERT_TRUE(cdg.try_add_path(std::vector<ChannelId>{c, c + 1}));
+    if (cdg.num_table_entries() <= entries) break;  // rehashed
+  }
+  EXPECT_EQ(cdg.num_table_entries(), cdg.num_edges() + 1);
+  EXPECT_FALSE(cdg.try_add_path(back));
+  EXPECT_EQ(cdg.num_cache_rejects(), 2U);
+
+  // Removing the chain leaves nothing from 1 back to 3: the stale (3,1)
+  // is searched, accepted and present.
+  cdg.remove_path(chain);
+  EXPECT_FALSE(cdg.has_edge(3, 1));
+  EXPECT_TRUE(cdg.try_add_path(back));
+  EXPECT_TRUE(cdg.has_edge(3, 1));
+  EXPECT_FALSE(cdg.has_edge(1, 2));
+  EXPECT_EQ(cdg.num_cache_rejects(), 2U);
 }
 
 // a -> b -> c closes a cycle at (b,c) only through the call's own new edge
