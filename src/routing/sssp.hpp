@@ -54,12 +54,27 @@ struct SsspWork {
 };
 
 /// Caller-owned scratch of sssp_destination, reused across destinations.
-/// After a call, `parent` holds each switch's forwarding channel toward the
-/// destination (kInvalidChannel for the destination and unreached
-/// switches) and `order` the settled switches, destination first.
+/// sssp_snapshot() fills the flat copy of the alive switch adjacency that
+/// sssp_destination reads. After a call, `parent` holds each switch's
+/// forwarding channel toward the destination (kInvalidChannel for the
+/// destination and unreached switches), `via` the switch index that
+/// channel leads to, and `order` the settled switches, destination first.
 struct SsspScratch {
+  /// An alive switch-to-switch link as Dijkstra relaxes it from switch u:
+  /// the neighbour's switch index and the channel from it toward u.
+  struct Arc {
+    std::uint32_t v;
+    ChannelId fwd;
+  };
+  /// Switch u's arcs are arcs[arc_offset[u] .. arc_offset[u + 1]), in
+  /// Network::out_switch_channels order; terminals[u] is terminals_on(u).
+  std::vector<std::uint32_t> arc_offset;
+  std::vector<Arc> arcs;
+  std::vector<std::uint32_t> terminals;
+
   std::vector<std::uint64_t> dist;
   std::vector<ChannelId> parent;
+  std::vector<std::uint32_t> via;
   std::vector<std::uint32_t> order;
   std::vector<std::uint64_t> subtree;
   MinHeap<std::uint64_t> heap;
@@ -72,12 +87,17 @@ inline std::uint64_t sssp_initial_weight(const Network& net,
   return std::uint64_t{net.num_nodes()} * net.num_nodes() * planes;
 }
 
+/// Copies `net`'s alive switch adjacency into `scratch`, in switch-index
+/// space. sssp_destination reads only this copy, so a caller takes it once
+/// the fault state is final and again after every change to it.
+void sssp_snapshot(const Network& net, SsspScratch& scratch);
+
 /// Algorithm 1's per-destination step, the one weighted SSSP kernel:
-/// Dijkstra outward from `dst_switch` over the alive switch adjacency and
-/// `weight`, then, when `update_weights`, every tree channel gains the
-/// number of terminals whose path to the destination crosses it. Returns
-/// the number of switches settled.
-std::size_t sssp_destination(const Network& net, NodeId dst_switch,
+/// Dijkstra outward from switch index `dst_index` over the snapshot's
+/// alive adjacency and `weight`, then, when `update_weights`, every tree
+/// channel gains the number of terminals whose path to the destination
+/// crosses it. Returns the number of switches settled.
+std::size_t sssp_destination(std::uint32_t dst_index,
                              std::span<std::uint64_t> weight,
                              bool update_weights, SsspScratch& scratch);
 
