@@ -1,17 +1,22 @@
 // Google-benchmark microbenchmarks of the hot kernels: the per-destination
 // Dijkstra loop, the offline CDG build alone and with the resumable cycle
 // search, the Pearce-Kelly online CDG (one CDG, and DFSSSP(online)'s
-// first-fit over layers), the certificate's maker and checker, the heap,
-// and one congestion-simulation pattern.
+// first-fit over layers), the incremental engine's repair, the
+// certificate's maker and checker, the heap, and one congestion-simulation
+// pattern.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <span>
 
 #include "analysis/certificate.hpp"
 #include "cdg/cdg.hpp"
 #include "cdg/online.hpp"
 #include "common/heap.hpp"
 #include "common/rng.hpp"
+#include "fault/churn.hpp"
+#include "fault/incremental.hpp"
+#include "fault/schedule.hpp"
 #include "routing/collect.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/minhop.hpp"
@@ -141,6 +146,40 @@ void BM_OnlineFirstFit(benchmark::State& state) {
                           static_cast<std::int64_t>(paths.size()));
 }
 BENCHMARK(BM_OnlineFirstFit);
+
+// IncrementalDfsssp's repair on Deimos: each iteration routes a pristine
+// copy from scratch (untimed), then times 25 batches of 4 link events, each
+// applied and repaired, from a fixed link-only schedule. Items = paths
+// migrated by the repairs.
+void BM_IncrementalRepair(benchmark::State& state) {
+  constexpr std::size_t kBatch = 4;
+  const Topology pristine = make_deimos();
+  FaultScheduleOptions options;
+  options.num_events = 25 * kBatch;
+  options.switch_down_weight = 0;
+  options.switch_up_weight = 0;
+  const FaultSchedule schedule =
+      FaultSchedule::random(pristine.net, options, 0xDE1405);
+  std::int64_t migrated = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Topology topo = pristine;
+    ChurnEngine churn(topo);
+    IncrementalDfsssp inc;
+    inc.route(RouteRequest(topo));
+    state.ResumeTiming();
+    for (std::size_t i = 0; i + kBatch <= schedule.size(); i += kBatch) {
+      const ChurnDelta delta = churn.apply_all(
+          std::span<const FaultEvent>(schedule.events().data() + i, kBatch));
+      if (!delta.applied) continue;
+      RouteResponse out = inc.repair(RouteRequest(topo), delta);
+      migrated += static_cast<std::int64_t>(out.repair.paths_migrated);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(migrated);
+}
+BENCHMARK(BM_IncrementalRepair);
 
 // The certificate of that fabric's DFSSSP(online) routing, routed once
 // outside the timed loop: the maker's early-stopping table walk plus one

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,24 @@ class IncrementalDfsssp {
     std::vector<Layer> layer;  // per src entry
   };
 
+  /// The request sink's work counters, looked up once per call. Each is
+  /// tallied inside the leaf span that did the work: sssp/* on fault/sssp,
+  /// the first-fit counts on fault/first_fit, entries_scanned on
+  /// fault/invalidate and paths_retracted on fault/retract.
+  struct Counters {
+    explicit Counters(obs::Registry& sink);
+    obs::Counter *passes, *pops, *pushes, *relaxations;
+    obs::Counter *checks, *insertions, *search_visits, *cycle_rejects,
+        *cache_rejects;
+    obs::Counter *entries_scanned, *paths_retracted;
+  };
+
   void reset(const Topology& topo, Layer max_layers);
-  void start_call();  // zeroes the per-call accumulators
+  /// Zeroes the per-call accumulators and binds the request's sink.
+  void start_call(const RouteRequest& request);
+  /// The bound sink's counters, looked up at the call's first tally, so a
+  /// call that does no work registers none.
+  Counters& counters();
   /// Retracts a destination's paths from the layers and the weight map and
   /// clears its table column.
   void retract_destination(std::uint32_t ti);
@@ -103,12 +120,11 @@ class IncrementalDfsssp {
   Certificate certificate_;
   SsspScratch sssp_;  // reused across destinations
 
-  // Per-call accumulators (set by start_call()). The layers persist across
-  // repairs, so finish() flushes the layering work done since
-  // `layer_work_at_start_`, not the running totals.
+  // Per-call accumulators (set by start_call()).
   double dijkstra_seconds_ = 0.0;
   double layering_seconds_ = 0.0;
-  FirstFitLayerer::Work layer_work_at_start_;
+  obs::Registry* sink_ = nullptr;
+  std::optional<Counters> counters_;
 };
 
 }  // namespace dfsssp
