@@ -171,6 +171,10 @@ std::vector<RosterEntry> roster() {
   // Chunked generation at 16k switches; the structure hashes in the table
   // pin the emitted streams bitwise against the committed baseline.
   add("gen_scale", "bench_gen_scale", true, {}, {"--full"}, 600);
+  // LMC planes under DFSSSP: pins the congestion kernel's multi-plane path
+  // (flow i on plane i mod #planes) against the committed baseline.
+  add("lmc_multipath", "bench_lmc_multipath", true, {"--patterns=20"}, {},
+      900);
   {
     RosterEntry micro;
     micro.name = "micro";
@@ -188,7 +192,6 @@ std::vector<RosterEntry> roster() {
   add("fault_sweep", "bench_fault_sweep", false, {}, {}, 900);
   add("ablation_balancing", "bench_ablation_balancing", false, {}, {}, 900);
   add("modern_topologies", "bench_modern_topologies", false, {}, {}, 900);
-  add("lmc_multipath", "bench_lmc_multipath", false, {}, {}, 900);
   add("torus_routing", "bench_torus_routing", false, {}, {}, 900);
   // 100k-switch dragonfly generated, routed (destination-sharded) and
   // verified end to end; records phase timings and peak RSS.
