@@ -5,13 +5,13 @@
 // a joint (all planes) deadlock-free layer assignment.
 #include "bench_util.hpp"
 #include "routing/multipath.hpp"
-#include "sim/multipath_sim.hpp"
 
 using namespace dfsssp;
 using namespace dfsssp::bench;
 
 int main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::parse(argc, argv);
+  const ExecContext exec = cfg.exec();
 
   // eBB over random bisections is expected to be ~neutral (Algorithm 1
   // already balances the single path well; round-robin plane choice only
@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
         continue;
       }
       Rng pat(0x71C0 + lmc * 0);  // identical patterns for every lmc
-      EbbResult ebb = effective_bisection_bandwidth_multipath(
-          topo.net, out.planes, map, cfg.patterns, pat);
+      EbbResult ebb = effective_bisection_bandwidth(
+          topo.net, out.planes, map, cfg.patterns, pat, {}, exec);
       PatternResult storm =
-          simulate_pattern_multipath(topo.net, out.planes, tornado_flows);
+          simulate_pattern(topo.net, out.planes, tornado_flows);
       if (lmc == 0) {
         base = ebb.ebb;
         tornado_base = storm.avg_flow_bandwidth;

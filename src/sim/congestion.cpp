@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -11,23 +12,55 @@ namespace dfsssp {
 
 namespace {
 
-/// Full channel sequence of a flow, including injection and ejection.
-void flow_channels(const Network& net, const RoutingTable& table, NodeId src,
-                   NodeId dst, std::vector<ChannelId>& out) {
-  out.clear();
-  out.push_back(net.injection_channel(src));
-  const NodeId src_sw = net.switch_of(src);
-  std::vector<ChannelId> inter;
-  if (!table.extract_path(net, src_sw, dst, inter)) {
-    throw std::runtime_error("simulate_pattern: broken forwarding");
+/// Every flow's full channel sequence (injection, inter-switch hops,
+/// ejection) in one buffer, and the flow count of each channel.
+struct FlowPaths {
+  std::vector<ChannelId> channels;
+  /// Flow f's channels are channels[offsets[f], offsets[f + 1]).
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::uint32_t> load;
+
+  std::span<const ChannelId> path(std::size_t f) const {
+    return {channels.data() + offsets[f], channels.data() + offsets[f + 1]};
   }
-  out.insert(out.end(), inter.begin(), inter.end());
-  out.push_back(net.ejection_channel(dst));
+};
+
+/// Walks flow f on planes[f % planes.size()]. `extract_path` rejects a dead
+/// end, a foreign channel, a hop into a terminal and a forwarding loop.
+FlowPaths walk_flows(const Network& net, std::span<const RoutingTable> planes,
+                     const Flows& flows) {
+  if (planes.empty()) {
+    throw std::invalid_argument("congestion: no routing planes");
+  }
+  FlowPaths paths;
+  paths.offsets.reserve(flows.size() + 1);
+  // Room for six hops per flow: regrowing the buffer of a 512-rank
+  // all-to-all on Deimos cost about as much as walking its flows.
+  paths.channels.reserve(flows.size() * 8);
+  std::vector<ChannelId> hops;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const auto [src, dst] = flows[f];
+    const std::size_t plane = f % planes.size();
+    if (!planes[plane].extract_path(net, net.switch_of(src), dst, hops)) {
+      throw std::runtime_error("congestion: broken forwarding path " +
+                               net.node_name(src) + " -> " +
+                               net.node_name(dst) + " on plane " +
+                               std::to_string(plane));
+    }
+    paths.channels.push_back(net.injection_channel(src));
+    paths.channels.insert(paths.channels.end(), hops.begin(), hops.end());
+    paths.channels.push_back(net.ejection_channel(dst));
+    paths.offsets.push_back(paths.channels.size());
+  }
+  paths.load.assign(net.num_channels(), 0);
+  for (ChannelId c : paths.channels) ++paths.load[c];
+  return paths;
 }
 
 }  // namespace
 
-PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
+PatternResult simulate_pattern(const Network& net,
+                               std::span<const RoutingTable> planes,
                                const Flows& flows,
                                const CongestionOptions& options) {
   PatternResult result;
@@ -37,14 +70,8 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
   obs::TraceSpan span("sim/pattern");
   std::uint64_t freeze_rounds = 0;
 
-  // Per-channel flow counts.
-  std::vector<std::uint32_t> load(net.num_channels(), 0);
-  std::vector<std::vector<ChannelId>> paths(flows.size());
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    flow_channels(net, table, flows[f].first, flows[f].second, paths[f]);
-    for (ChannelId c : paths[f]) ++load[c];
-  }
-  for (std::uint32_t l : load) {
+  const FlowPaths paths = walk_flows(net, planes, flows);
+  for (std::uint32_t l : paths.load) {
     result.max_congestion = std::max(result.max_congestion, l);
   }
 
@@ -52,7 +79,7 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
   if (options.metric == BandwidthMetric::kBottleneckShare) {
     for (std::size_t f = 0; f < flows.size(); ++f) {
       std::uint32_t worst = 1;
-      for (ChannelId c : paths[f]) worst = std::max(worst, load[c]);
+      for (ChannelId c : paths.path(f)) worst = std::max(worst, paths.load[c]);
       bw[f] = options.link_capacity / worst;
     }
   } else {
@@ -66,10 +93,7 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
     // in ascending order, which keeps the arithmetic (and therefore the
     // result bits) identical to the full-scan formulation.
     std::vector<double> remaining(net.num_channels(), options.link_capacity);
-    std::vector<std::uint32_t> active(net.num_channels(), 0);
-    for (const auto& p : paths) {
-      for (ChannelId c : p) ++active[c];
-    }
+    std::vector<std::uint32_t> active = paths.load;
     std::vector<ChannelId> used;
     for (ChannelId c = 0; c < net.num_channels(); ++c) {
       if (active[c] > 0) used.push_back(c);
@@ -85,8 +109,9 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
       // Freeze every flow crossing a channel that saturates at `tightest`.
       std::size_t kept = 0;
       for (std::uint32_t f : alive) {
+        const std::span<const ChannelId> path = paths.path(f);
         bool saturated = false;
-        for (ChannelId c : paths[f]) {
+        for (ChannelId c : path) {
           if (active[c] > 0 &&
               remaining[c] / active[c] <= tightest * (1 + 1e-12)) {
             saturated = true;
@@ -98,7 +123,7 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
           continue;
         }
         bw[f] += tightest;
-        for (ChannelId c : paths[f]) {
+        for (ChannelId c : path) {
           remaining[c] -= tightest;
           --active[c];
         }
@@ -143,12 +168,8 @@ PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
 LoadReport analyze_load(const Network& net, const RoutingTable& table,
                         const Flows& flows) {
   LoadReport report;
-  std::vector<std::uint32_t> load(net.num_channels(), 0);
-  std::vector<ChannelId> path;
-  for (auto [src, dst] : flows) {
-    flow_channels(net, table, src, dst, path);
-    for (ChannelId c : path) ++load[c];
-  }
+  const std::vector<std::uint32_t> load =
+      walk_flows(net, std::span(&table, 1), flows).load;
   std::uint64_t fabric_sum = 0;
   for (ChannelId c = 0; c < net.num_channels(); ++c) {
     if (net.is_switch_channel(c)) {
@@ -181,7 +202,7 @@ std::vector<PatternResult> simulate_patterns(const Network& net,
 }
 
 EbbResult effective_bisection_bandwidth(const Network& net,
-                                        const RoutingTable& table,
+                                        std::span<const RoutingTable> planes,
                                         const RankMap& map,
                                         std::uint32_t num_patterns, Rng& rng,
                                         const CongestionOptions& options,
@@ -199,7 +220,7 @@ EbbResult effective_bisection_bandwidth(const Network& net,
         Rng pattern_rng(stream_seed(base, i));
         Flows flows = map.to_flows(random_bisection(map.num_ranks(),
                                                     pattern_rng));
-        return simulate_pattern(net, table, flows, options).avg_flow_bandwidth;
+        return simulate_pattern(net, planes, flows, options).avg_flow_bandwidth;
       },
       [&out](double acc, double avg) {
         out.min_pattern = std::min(out.min_pattern, avg);

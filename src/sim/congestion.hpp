@@ -8,11 +8,16 @@
 // bisection patterns — exactly the paper's "relative effective bisection
 // bandwidth" (1.0 = congestion-free).
 //
+// A routing is a span of planes: flow i follows planes[i % planes.size()],
+// the round-robin choice a source makes over a destination's LMC LIDs
+// (routing/multipath.hpp). A single table is one plane.
+//
 // A max-min-fair mode (progressive filling) is provided as an extension;
 // the paper's plots use the share metric.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -50,10 +55,21 @@ struct PatternResult {
   }
 };
 
-/// Simulates one set of simultaneous flows.
-PatternResult simulate_pattern(const Network& net, const RoutingTable& table,
+/// Simulates one set of simultaneous flows; flow i follows
+/// planes[i % planes.size()]. Throws std::runtime_error naming the flow's
+/// terminals when its walk is broken (dead end, foreign channel, hop into a
+/// terminal or forwarding loop), std::invalid_argument when `planes` is
+/// empty.
+PatternResult simulate_pattern(const Network& net,
+                               std::span<const RoutingTable> planes,
                                const Flows& flows,
                                const CongestionOptions& options = {});
+inline PatternResult simulate_pattern(const Network& net,
+                                      const RoutingTable& table,
+                                      const Flows& flows,
+                                      const CongestionOptions& options = {}) {
+  return simulate_pattern(net, std::span(&table, 1), flows, options);
+}
 
 /// Simulates a batch of flow sets, one result per input set, in input order.
 /// Patterns are independent, so they spread across `exec`'s threads; the
@@ -77,6 +93,7 @@ struct LoadReport {
   double imbalance = 0.0;
 };
 
+/// Throws like simulate_pattern on a broken walk.
 LoadReport analyze_load(const Network& net, const RoutingTable& table,
                         const Flows& flows);
 
@@ -88,16 +105,24 @@ struct EbbResult {
 };
 
 /// Effective bisection bandwidth over `num_patterns` random bisections of
-/// the ranks in `map` (use all terminals for the paper's Figures 4-6).
+/// the ranks in `map` (use all terminals for the paper's Figures 4-6),
+/// each simulated over `planes` like simulate_pattern.
 ///
 /// `rng` contributes a single base value; pattern i then draws from its own
 /// stream seeded from (base, i) and the per-pattern results are reduced in
 /// pattern order, so the outcome is bitwise identical at any thread count.
 EbbResult effective_bisection_bandwidth(const Network& net,
-                                        const RoutingTable& table,
+                                        std::span<const RoutingTable> planes,
                                         const RankMap& map,
                                         std::uint32_t num_patterns, Rng& rng,
                                         const CongestionOptions& options = {},
                                         const ExecContext& exec = {});
+inline EbbResult effective_bisection_bandwidth(
+    const Network& net, const RoutingTable& table, const RankMap& map,
+    std::uint32_t num_patterns, Rng& rng, const CongestionOptions& options = {},
+    const ExecContext& exec = {}) {
+  return effective_bisection_bandwidth(net, std::span(&table, 1), map,
+                                       num_patterns, rng, options, exec);
+}
 
 }  // namespace dfsssp

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "routing/dfsssp.hpp"
 #include "routing/minhop.hpp"
 #include "routing/sssp.hpp"
 #include "topology/generators.hpp"
@@ -148,6 +152,86 @@ TEST(Congestion, EbbIsSeedDeterministic) {
   EbbResult a = effective_bisection_bandwidth(topo.net, out.table, map, 10, r1);
   EbbResult b = effective_bisection_bandwidth(topo.net, out.table, map, 10, r2);
   EXPECT_DOUBLE_EQ(a.ebb, b.ebb);
+}
+
+// Runs `call`, which must throw std::runtime_error naming the flow `pair`.
+template <typename Call>
+void expect_broken(const Call& call, const std::string& pair,
+                   const char* what) {
+  try {
+    call();
+    ADD_FAILURE() << what << ": no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(pair), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+// The kernel keeps every check of RoutingTable::extract_path. One entry
+// is broken the way Certificate.BrokenWalksThrowAndAreRejected breaks it,
+// and each entry point must throw, naming the flow's terminals.
+TEST(Congestion, BrokenForwardingThrowsNamingTheFlow) {
+  Rng rng(7);
+  Topology topo = make_random(32, 4, 80, 8, rng);
+  const Network& net = topo.net;
+  RouteResponse out = DfssspRouter().route(RouteRequest(topo));
+  ASSERT_TRUE(out.ok);
+  // A flow src -> t whose path leaves src's switch for a switch `via`
+  // that is not t's.
+  NodeId sw = kInvalidNode, t = kInvalidNode;
+  for (NodeId s : net.switches()) {
+    for (NodeId d : net.terminals()) {
+      if (t == kInvalidNode && out.table.path_hops(net, s, d) >= 2) {
+        sw = s;
+        t = d;
+      }
+    }
+  }
+  ASSERT_NE(t, kInvalidNode);
+  NodeId src = kInvalidNode;
+  for (NodeId s : net.terminals()) {
+    if (net.switch_of(s) == sw) src = s;
+  }
+  ASSERT_NE(src, kInvalidNode);
+  const ChannelId first_hop = out.table.next(sw, t);
+  const NodeId via = net.channel(first_hop).dst;
+  ChannelId foreign = kInvalidChannel;
+  for (ChannelId c = 0; c < net.num_channels(); ++c) {
+    if (net.is_switch_channel(c) && net.channel(c).src != via) foreign = c;
+  }
+  ChannelId into_terminal = kInvalidChannel;
+  for (NodeId n : net.terminals()) {
+    if (net.switch_of(n) == via) into_terminal = net.ejection_channel(n);
+  }
+  ASSERT_NE(foreign, kInvalidChannel);
+  ASSERT_NE(into_terminal, kInvalidChannel);
+
+  const std::pair<const char*, ChannelId> breaks[] = {
+      {"dead end", kInvalidChannel},
+      {"two-switch loop", net.channel(first_hop).reverse},
+      {"foreign channel", foreign},
+      {"hop into a terminal", into_terminal},
+  };
+  const Flows flow{{src, t}};
+  const Flows both{{src, t}, {src, t}};  // flow 1 takes the second plane
+  // A two-rank bisection sends src -> t or t -> src; over 16 patterns the
+  // first direction occurs.
+  const RankMap pair_map(std::vector<NodeId>{src, t});
+  const std::string pair = net.node_name(src) + " -> " + net.node_name(t);
+  for (const auto& [what, next] : breaks) {
+    RoutingTable broken = out.table;
+    broken.set_next(via, t, next);
+    const std::vector<RoutingTable> planes{out.table, broken};
+    expect_broken([&] { simulate_pattern(net, broken, flow); }, pair, what);
+    expect_broken([&] { simulate_pattern(net, planes, both); }, pair, what);
+    expect_broken(
+        [&] {
+          Rng pat(3);
+          effective_bisection_bandwidth(net, broken, pair_map, 16, pat);
+        },
+        pair, what);
+    expect_broken([&] { analyze_load(net, broken, flow); }, pair, what);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "routing/dfsssp.hpp"
 #include "routing/lash.hpp"
 #include "routing/minhop.hpp"
+#include "routing/multipath.hpp"
 #include "routing/updown.hpp"
 #include "routing/verify.hpp"
 #include "sim/congestion.hpp"
@@ -77,6 +78,21 @@ TEST(Determinism, EbbIsThreadCountInvariant) {
                                                    50, r1, {}, ExecContext{1});
   EbbResult parallel = effective_bisection_bandwidth(
       topo.net, out.table, map, 50, r8, {}, ExecContext{8});
+  EXPECT_EQ(serial.ebb, parallel.ebb);
+  EXPECT_EQ(serial.min_pattern, parallel.min_pattern);
+  EXPECT_EQ(serial.max_pattern, parallel.max_pattern);
+}
+
+TEST(Determinism, PlanesEbbIsThreadCountInvariant) {
+  Topology topo = make_kautz(2, 3, 48);
+  MultipathOutcome out = route_dfsssp_multipath(topo, 1);
+  ASSERT_TRUE(out.ok) << out.error;
+  RankMap map = RankMap::round_robin(topo.net, 48);
+  Rng r1(777), r4(777);
+  EbbResult serial = effective_bisection_bandwidth(topo.net, out.planes, map,
+                                                   50, r1, {}, ExecContext{1});
+  EbbResult parallel = effective_bisection_bandwidth(
+      topo.net, out.planes, map, 50, r4, {}, ExecContext{4});
   EXPECT_EQ(serial.ebb, parallel.ebb);
   EXPECT_EQ(serial.min_pattern, parallel.min_pattern);
   EXPECT_EQ(serial.max_pattern, parallel.max_pattern);

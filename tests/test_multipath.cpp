@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "routing/verify.hpp"
-#include "sim/multipath_sim.hpp"
+#include "sim/congestion.hpp"
 #include "topology/generators.hpp"
 
 namespace dfsssp {
@@ -72,8 +74,8 @@ TEST(Multipath, SimulationUsesAllPlanes) {
   ASSERT_TRUE(out.ok);
   Rng rng(9);
   RankMap map = RankMap::round_robin(topo.net, 16);
-  EbbResult multi = effective_bisection_bandwidth_multipath(
-      topo.net, out.planes, map, 50, rng);
+  EbbResult multi =
+      effective_bisection_bandwidth(topo.net, out.planes, map, 50, rng);
   EXPECT_GT(multi.ebb, 0.0);
   EXPECT_LE(multi.ebb, 1.0 + 1e-9);
 }
@@ -86,10 +88,63 @@ TEST(Multipath, Lmc1ImprovesAdversarialPattern) {
   ASSERT_TRUE(multi.ok);
   RankMap map = RankMap::round_robin(topo.net, 16);
   Flows flows = map.to_flows(ring_shift(16, 4));  // leaf-to-leaf shift
-  PatternResult single = simulate_pattern_multipath(
-      topo.net, {multi.planes[0]}, flows);
-  PatternResult both = simulate_pattern_multipath(topo.net, multi.planes, flows);
+  PatternResult single = simulate_pattern(topo.net, multi.planes[0], flows);
+  PatternResult both = simulate_pattern(topo.net, multi.planes, flows);
   EXPECT_GE(both.avg_flow_bandwidth, single.avg_flow_bandwidth - 1e-9);
+}
+
+// A single table is one plane, and a plane repeated is still that routing:
+// both give the table's PatternResult and EbbResult bit for bit, under
+// either metric.
+TEST(Multipath, OnePlaneAndTwoIdenticalPlanesMatchTheTable) {
+  Topology topo = make_kautz(2, 3, 24);
+  MultipathOutcome out = route_sssp_multipath(topo, 0);
+  ASSERT_TRUE(out.ok);
+  const RoutingTable& table = out.planes[0];
+  RankMap map = RankMap::round_robin(topo.net, 24);
+  Rng rng(5);
+  Flows flows = map.to_flows(random_bisection(24, rng));
+  const std::vector<RoutingTable> twice{table, table};
+  for (BandwidthMetric metric :
+       {BandwidthMetric::kBottleneckShare, BandwidthMetric::kMaxMinFair}) {
+    CongestionOptions opts;
+    opts.metric = metric;
+    const PatternResult want = simulate_pattern(topo.net, table, flows, opts);
+    Rng r0(9);
+    const EbbResult want_ebb =
+        effective_bisection_bandwidth(topo.net, table, map, 10, r0, opts);
+    for (std::span<const RoutingTable> planes :
+         {std::span<const RoutingTable>(&table, 1),
+          std::span<const RoutingTable>(twice)}) {
+      const PatternResult got = simulate_pattern(topo.net, planes, flows, opts);
+      EXPECT_EQ(got.avg_flow_bandwidth, want.avg_flow_bandwidth);
+      EXPECT_EQ(got.min_flow_bandwidth, want.min_flow_bandwidth);
+      EXPECT_EQ(got.max_congestion, want.max_congestion);
+      Rng r1(9);
+      const EbbResult ebb =
+          effective_bisection_bandwidth(topo.net, planes, map, 10, r1, opts);
+      EXPECT_EQ(ebb.ebb, want_ebb.ebb);
+      EXPECT_EQ(ebb.min_pattern, want_ebb.min_pattern);
+      EXPECT_EQ(ebb.max_pattern, want_ebb.max_pattern);
+    }
+  }
+}
+
+// Max-min fairness over planes gives every flow at least its bottleneck
+// share and, here, more on average: the metric is honoured for planes.
+TEST(Multipath, MaxMinFairOverPlanesDominatesShare) {
+  Topology topo = make_kautz(2, 3, 48);
+  MultipathOutcome out = route_sssp_multipath(topo, 1);
+  ASSERT_TRUE(out.ok);
+  RankMap map = RankMap::round_robin(topo.net, 48);
+  Rng rng(4);
+  Flows flows = map.to_flows(random_bisection(48, rng));
+  CongestionOptions mm;
+  mm.metric = BandwidthMetric::kMaxMinFair;
+  const PatternResult share = simulate_pattern(topo.net, out.planes, flows);
+  const PatternResult fair = simulate_pattern(topo.net, out.planes, flows, mm);
+  EXPECT_GT(fair.avg_flow_bandwidth, share.avg_flow_bandwidth);
+  EXPECT_GE(fair.min_flow_bandwidth, share.min_flow_bandwidth - 1e-9);
 }
 
 }  // namespace
