@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
   const std::string topo_name = cli.get("topo", "");
   const std::uint32_t k = static_cast<std::uint32_t>(cli.get_int("k", 32));
   const std::uint32_t n = static_cast<std::uint32_t>(cli.get_int("n", 2));
-  const std::uint32_t events =
-      static_cast<std::uint32_t>(cli.get_int("events", 40));
+  const std::uint32_t events = cli.get_count("events", 40);
   const std::uint64_t event_seed =
       static_cast<std::uint64_t>(cli.get_int("event-seed", 0xC4A17));
   const std::size_t batch =

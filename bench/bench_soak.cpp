@@ -81,15 +81,14 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto k = static_cast<std::uint32_t>(cli.get_int("k", 16));
   const auto n = static_cast<std::uint32_t>(cli.get_int("n", 2));
-  const auto events = static_cast<std::uint32_t>(cli.get_int("events", 200));
+  const std::uint32_t events = cli.get_count("events", 200);
   const auto event_seed =
       static_cast<std::uint64_t>(cli.get_int("event-seed", 0x50AC));
   const auto batch = static_cast<std::size_t>(
       std::max<std::int64_t>(cli.get_int("batch", 4), 1));
   const auto clients = static_cast<std::uint32_t>(
       std::max<std::int64_t>(cli.get_int("clients", 4), 1));
-  const auto lookups =
-      static_cast<std::uint64_t>(cli.get_int("lookups", 2000));
+  const std::uint64_t lookups = cli.get_count("lookups", 2000);
 
   Topology topo = make_kary_ntree(k, n);
   std::printf("fabric: %s (%zu switches, %zu terminals, %zu channels)\n",

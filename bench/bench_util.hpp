@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -79,8 +78,8 @@ struct BenchConfig {
     Cli cli(argc, argv);
     BenchConfig cfg;
     cfg.full = cli.get_bool("full", false);
-    cfg.patterns = count_flag(cli, "patterns", cfg.patterns);
-    cfg.seeds = count_flag(cli, "seeds", cfg.seeds);
+    cfg.patterns = cli.get_count("patterns", cfg.patterns);
+    cfg.seeds = cli.get_count("seeds", cfg.seeds);
     // Negative counts would wrap to billions of workers; treat them as the
     // hardware default, like --threads=0.
     cfg.threads = static_cast<std::uint32_t>(
@@ -100,24 +99,6 @@ struct BenchConfig {
     // profiler runs whenever a report or a folded export was requested.
     if (!cfg.json.empty() || !cfg.profile.empty()) obs::start_profiling();
     return cfg;
-  }
-
-  /// A count flag must be a whole number from 1 to 2^32 - 1: zero patterns
-  /// average nothing into a NaN, a negative count would wrap to billions,
-  /// and strtoll reads text as 0. Anything else exits 2, naming the flag.
-  static std::uint32_t count_flag(const Cli& cli, const char* key,
-                                  std::uint32_t fallback) {
-    if (!cli.has(key)) return fallback;
-    const std::string text = cli.get(key, "");
-    std::uint32_t value = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || end != text.data() + text.size() || value < 1) {
-      std::fprintf(stderr, "--%s=%s: expected a whole number of at least 1\n",
-                   key, text.c_str());
-      std::exit(2);
-    }
-    return value;
   }
 
   /// Execution context for the parallel layers. Build it once per binary:

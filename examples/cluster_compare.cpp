@@ -22,8 +22,7 @@ using namespace dfsssp;
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string system = cli.get("system", "deimos");
-  const std::uint32_t patterns =
-      static_cast<std::uint32_t>(cli.get_int("patterns", 100));
+  const std::uint32_t patterns = cli.get_count("patterns", 100);
 
   Topology topo;
   if (system == "odin") topo = make_odin();

@@ -153,8 +153,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string engine = cli.get("router", "DFSSSP");
-  const std::uint32_t patterns =
-      static_cast<std::uint32_t>(cli.get_int("patterns", 100));
+  const std::uint32_t patterns = cli.get_count("patterns", 100);
   RankMap map = RankMap::round_robin(
       topo.net, static_cast<std::uint32_t>(topo.net.num_terminals()));
   for (const auto& router : make_all_routers()) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <queue>
 
 #include "analysis/existence.hpp"
+#include "routing/spath.hpp"
 
 namespace dfsssp {
 
@@ -35,31 +35,6 @@ struct DestFindings {
   std::uint64_t paths_checked = 0;
 };
 
-/// BFS hop distance from every switch to `dst_sw`. Links are bidirectional
-/// (every channel has a reverse), so the forward BFS distance equals the
-/// reverse one.
-std::vector<std::uint32_t> bfs_distances(const Network& net, NodeId dst_sw) {
-  constexpr std::uint32_t kInf = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> dist(net.num_switches(), kInf);
-  std::queue<NodeId> bfs;
-  dist[net.node(dst_sw).type_index] = 0;
-  bfs.push(dst_sw);
-  while (!bfs.empty()) {
-    const NodeId u = bfs.front();
-    bfs.pop();
-    const std::uint32_t du = dist[net.node(u).type_index];
-    for (ChannelId c : net.out_switch_channels(u)) {
-      const NodeId v = net.channel(c).dst;
-      std::uint32_t& dv = dist[net.node(v).type_index];
-      if (dv == kInf) {
-        dv = du + 1;
-        bfs.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace
 
 LintReport lint_routing(const Network& net, const RoutingTable& table,
@@ -77,7 +52,8 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
             static_cast<std::uint32_t>(ti));
         if (!net.terminal_alive(dst)) return f;  // fell off with its switch
         const NodeId dst_sw = net.switch_of(dst);
-        const auto dist = bfs_distances(net, dst_sw);
+        std::vector<std::uint32_t> dist;
+        bfs_hops_to(net, dst_sw, dist);
         auto emit = [&](LintKind kind, std::string msg) {
           const auto k = static_cast<std::size_t>(kind);
           ++f.counts[k];

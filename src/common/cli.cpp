@@ -1,7 +1,8 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace dfsssp {
 
@@ -49,6 +50,23 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+std::uint32_t Cli::get_count(const std::string& key, std::uint32_t fallback,
+                             std::uint32_t max) const {
+  auto it = flags_.find(key);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  std::uint32_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc() && end == text.data() + text.size() && value >= 1 &&
+      value <= max) {
+    return value;
+  }
+  std::fprintf(stderr, "--%s=%s: expected a whole number from 1 to %u\n",
+               key.c_str(), text.c_str(), max);
+  std::exit(2);
 }
 
 }  // namespace dfsssp

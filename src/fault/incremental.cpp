@@ -1,6 +1,5 @@
 #include "fault/incremental.hpp"
 
-#include <algorithm>
 #include <span>
 
 #include "obs/metrics.hpp"
@@ -73,40 +72,84 @@ void IncrementalDfsssp::retract_destination(std::uint32_t ti) {
   dp = {};
 }
 
-IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
-    std::uint32_t ti, std::string& error) {
+bool IncrementalDfsssp::route_destination(std::uint32_t ti,
+                                          std::string& error) {
+  obs::TraceSpan span("fault/sssp");
   const Network& net = topo_->net;
   const NodeId d = net.terminal_by_index(ti);
-  {
-    obs::TraceSpan span("fault/sssp");
-    sssp_.work = {};
-    const std::size_t settled =
-        sssp_destination(net.node(net.switch_of(d)).type_index, weight_,
-                         /*update_weights=*/true, sssp_);
-    counters().passes->tally(sssp_.work.passes);
-    counters().pops->tally(sssp_.work.pops);
-    counters().pushes->tally(sssp_.work.pushes);
-    counters().relaxations->tally(sssp_.work.relaxations);
-    if (settled != net.num_alive_switches()) {
-      error = "alive network is disconnected";
-      return DestStatus::kDisconnected;
-    }
-    for (std::size_t i = 1; i < settled; ++i) {  // order[0] == dst
-      const std::uint32_t s = sssp_.order[i];
-      table_.set_next(net.switch_by_index(s), d, sssp_.parent[s]);
-    }
-    dijkstra_seconds_ += span.seconds();
+  sssp_.work = {};
+  const std::size_t settled =
+      sssp_destination(net.node(net.switch_of(d)).type_index, weight_,
+                       /*update_weights=*/true, sssp_);
+  counters().passes->tally(sssp_.work.passes);
+  counters().pops->tally(sssp_.work.pops);
+  counters().pushes->tally(sssp_.work.pushes);
+  counters().relaxations->tally(sssp_.work.relaxations);
+  if (settled != net.num_alive_switches()) {
+    error = "alive network is disconnected";
+    return false;
+  }
+  for (std::size_t i = 1; i < settled; ++i) {  // order[0] == dst
+    const std::uint32_t s = sssp_.order[i];
+    table_.set_next(net.switch_by_index(s), d, sssp_.parent[s]);
   }
 
-  // Store the terminal-bearing sources' channel sequences and first-fit
-  // them into the persistent layers — ascending switch index, so a repair
-  // is one deterministic serial pass.
+  // Store the terminal-bearing sources' channel sequences, ascending
+  // switch index, in layer 0; place() first-fits them.
+  DestPaths dp;
+  dp.offset.push_back(0);
+  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
+    // Skips the destination, unreached (dead) and terminal-less switches.
+    if (sssp_.parent[s] == kInvalidChannel || sssp_.terminals[s] == 0) continue;
+    for (std::uint32_t v = s; sssp_.parent[v] != kInvalidChannel;
+         v = sssp_.via[v]) {
+      dp.channels.push_back(sssp_.parent[v]);
+    }
+    dp.src.push_back(s);
+    dp.offset.push_back(static_cast<std::uint32_t>(dp.channels.size()));
+  }
+  dp.layer.assign(dp.src.size(), 0);
+  dp.routed = true;
+  dest_[ti] = std::move(dp);
+  dijkstra_seconds_ += span.seconds();
+  return true;
+}
+
+bool IncrementalDfsssp::place(std::span<const std::uint32_t> destinations,
+                              std::string& error) {
   obs::TraceSpan span("fault/first_fit");
+  const Network& net = topo_->net;
   const FirstFitLayerer::Work before = layers_.work();
-  auto tally_layering = [&] {
-    const FirstFitLayerer::Work after = layers_.work();
-    layering_seconds_ += span.seconds();
-    if (after.attempts == before.attempts) return;
+  // DFSSSP(online)'s collect_paths order: ascending source switch, then
+  // ascending destination. Each destination's sources ascend, so one
+  // cursor per destination walks them in step with the source loop.
+  std::vector<std::uint32_t> cursor(destinations.size(), 0);
+  bool placed = true;
+  for (std::uint32_t s = 0; placed && s < net.num_switches(); ++s) {
+    const NodeId sw = net.switch_by_index(s);
+    for (std::size_t i = 0; i < destinations.size(); ++i) {
+      DestPaths& dp = dest_[destinations[i]];
+      const std::uint32_t e = cursor[i];
+      if (e == dp.src.size() || dp.src[e] != s) continue;
+      cursor[i] = e + 1;
+      const std::span<const ChannelId> seq{dp.channels.data() + dp.offset[e],
+                                           dp.offset[e + 1] - dp.offset[e]};
+      if (seq.size() < 2) continue;  // no dependencies, stays in layer 0
+      const Layer assigned = layers_.place(seq);
+      if (assigned == kInvalidLayer) {
+        error = "ran out of virtual layers (" + std::to_string(max_layers_) +
+                ")";
+        placed = false;
+        break;
+      }
+      dp.layer[e] = assigned;
+      table_.set_layer(sw, net.terminal_by_index(destinations[i]), assigned);
+    }
+  }
+
+  const FirstFitLayerer::Work after = layers_.work();
+  layering_seconds_ += span.seconds();
+  if (after.attempts != before.attempts) {
     counters().checks->tally(after.attempts - before.attempts);
     counters().insertions->tally(after.insertions - before.insertions);
     counters().search_visits->tally(after.search_visits -
@@ -115,40 +158,8 @@ IncrementalDfsssp::DestStatus IncrementalDfsssp::route_destination(
                                     before.cycle_rejects);
     counters().cache_rejects->tally(after.cache_rejects -
                                     before.cache_rejects);
-  };
-  DestPaths dp;
-  std::vector<ChannelId> seq;
-  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
-    // Skips the destination and unreached (dead) switches.
-    if (sssp_.parent[s] == kInvalidChannel) continue;
-    const NodeId sw = net.switch_by_index(s);
-    if (net.terminals_on(sw) == 0) continue;
-    seq.clear();
-    for (std::uint32_t v = s; sssp_.parent[v] != kInvalidChannel;
-         v = sssp_.via[v]) {
-      seq.push_back(sssp_.parent[v]);
-    }
-    Layer assigned = 0;
-    if (seq.size() >= 2) {
-      assigned = layers_.place(seq);
-      if (assigned == kInvalidLayer) {
-        error = "ran out of virtual layers (" + std::to_string(max_layers_) +
-                ")";
-        tally_layering();
-        return DestStatus::kOverflow;
-      }
-    }
-    dp.src.push_back(s);
-    dp.channels.insert(dp.channels.end(), seq.begin(), seq.end());
-    dp.offset.push_back(static_cast<std::uint32_t>(dp.channels.size()));
-    dp.layer.push_back(assigned);
-    table_.set_layer(sw, d, assigned);
   }
-  dp.offset.insert(dp.offset.begin(), 0);
-  dp.routed = true;
-  dest_[ti] = std::move(dp);
-  tally_layering();
-  return DestStatus::kOk;
+  return placed;
 }
 
 std::uint64_t IncrementalDfsssp::count_paths() const {
@@ -209,14 +220,14 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
 
   RouteResponse out;
   std::string error;
+  std::vector<std::uint32_t> alive;
   for (std::uint32_t ti = 0; ti < net.num_terminals(); ++ti) {
     if (!net.terminal_alive(net.terminal_by_index(ti))) continue;
-    if (route_destination(ti, error) != DestStatus::kOk) return fail(error);
+    if (!route_destination(ti, error)) return fail(error);
+    alive.push_back(ti);
   }
-  out.repair.destinations_rerouted =
-      static_cast<std::uint32_t>(std::count_if(
-          dest_.begin(), dest_.end(),
-          [](const DestPaths& dp) { return dp.routed; }));
+  if (!place(alive, error)) return fail(error);
+  out.repair.destinations_rerouted = static_cast<std::uint32_t>(alive.size());
   return finish(request, std::move(out));
 }
 
@@ -289,12 +300,11 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
   std::string error;
   std::uint64_t migrated = 0;
   for (std::uint32_t ti : affected) {
-    const DestStatus st = route_destination(ti, error);
-    if (st == DestStatus::kOverflow) {
-      return full_fallback("layer overflow during repair: " + error);
-    }
-    if (st == DestStatus::kDisconnected) return fail(error);
+    if (!route_destination(ti, error)) return fail(error);
     migrated += dest_[ti].src.size();
+  }
+  if (!place(affected, error)) {
+    return full_fallback("layer overflow during repair: " + error);
   }
 
   out.repair.destinations_rerouted =

@@ -15,6 +15,8 @@
 //      destinations (in destination index order, so repair is
 //      deterministic and thread-count invariant),
 //   4. re-layers the fresh paths first-fit into the persistent layers,
+//      source-major like DFSSSP(online); route() is steps 3 and 4 over
+//      every destination, so it equals DfssspRouter(kOnline, balance off),
 //   5. falls back to a full recompute only when a layer overflows or a
 //      switch comes back up (a revived switch needs forwarding entries for
 //      every destination, which is a full recompute by definition),
@@ -31,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,8 +69,6 @@ class IncrementalDfsssp {
   const Certificate& certificate() const { return certificate_; }
 
  private:
-  enum class DestStatus { kOk, kOverflow, kDisconnected };
-
   /// Stored forwarding-tree slice of one destination: the channel sequence
   /// and layer per terminal-bearing source switch. These are exactly the
   /// CDG members and weight carriers that must be retracted when the
@@ -101,9 +102,12 @@ class IncrementalDfsssp {
   /// Retracts a destination's paths from the layers and the weight map and
   /// clears its table column.
   void retract_destination(std::uint32_t ti);
-  /// The SSSP kernel from the destination's switch, path storage and
-  /// first-fit layering. `error` is set on failure.
-  DestStatus route_destination(std::uint32_t ti, std::string& error);
+  /// The SSSP kernel from the destination's switch, its next hops and its
+  /// stored paths, in layer 0. False, with `error` set, when disconnected.
+  bool route_destination(std::uint32_t ti, std::string& error);
+  /// First-fits the just-routed paths of `destinations` (ascending)
+  /// source-major. False, with `error` set, when a path fits no layer.
+  bool place(std::span<const std::uint32_t> destinations, std::string& error);
   RouteResponse finish(const RouteRequest& request, RouteResponse out);
   RouteResponse fail(const std::string& error);  // unbinds the engine
   std::uint64_t count_paths() const;

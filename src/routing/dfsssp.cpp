@@ -10,12 +10,25 @@
 namespace dfsssp {
 
 RouteResponse DfssspRouter::route(const RouteRequest& request) const {
-  const Topology& topo = request.topo();
-  const Network& net = topo.net;
+  RouteResponse out;
+  out.table = RoutingTable(request.topo().net);
+  if (!route_planes(request, {&out.table, 1}, out.stats, out.error)) {
+    return RouteResponse::failure(std::move(out.error));
+  }
+  out.ok = true;
+  return out;
+}
+
+bool DfssspRouter::route_planes(const RouteRequest& request,
+                                std::span<RoutingTable> planes,
+                                RoutingStats& stats,
+                                std::string& error) const {
+  const Network& net = request.topo().net;
   const Layer max_layers = request.layer_budget(options_.max_layers);
-  RouteResponse out =
-      route_sssp(net, SsspOptions{.balance = true}, request.sink());
-  if (!out.ok) return out;
+  if (!sssp_fill_planes(net, SsspOptions{.balance = true}, planes, stats,
+                        error, request.sink())) {
+    return false;
+  }
 
   obs::TraceSpan span("dfsssp/layering");
   // Work counts go to the request's sink, so a caller-supplied registry
@@ -25,7 +38,7 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   FirstFitLayerer::Work work;
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
-  PathSet paths = collect_paths(net, out.table);
+  PathSet paths = collect_paths(net, planes);
 
   std::vector<Layer> layer;
   Layer layers_used = 1;
@@ -37,19 +50,15 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
       if (seq.size() < 2) continue;  // no dependencies, stays in layer 0
       layer[p] = layers.place(seq);
       if (layer[p] == kInvalidLayer) {
-        return RouteResponse::failure(
-            "DFSSSP(online): ran out of virtual layers (" +
-            std::to_string(max_layers) + ")");
+        error = "DFSSSP(online): ran out of virtual layers (" +
+                std::to_string(max_layers) + ")";
+        return false;
       }
     }
     layers_used = layers.layers_used();
     work = layers.work();
     acyclicity_checks = work.attempts;
     sink.counter("cdg/edge_insertions").tally(work.insertions);
-    if (options_.balance) {
-      layers_used =
-          balance_layers(paths, layer, layers_used, max_layers);
-    }
   } else if (options_.mode == LayeringMode::kOnlineNaive) {
     // The paper's first approach: per path, per candidate layer, rebuild
     // the layer's member set and run a full depth-first cycle search.
@@ -69,16 +78,12 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
         members[l].pop_back();
       }
       if (assigned == kInvalidLayer) {
-        return RouteResponse::failure(
-            "DFSSSP(naive-online): ran out of virtual layers (" +
-            std::to_string(max_layers) + ")");
+        error = "DFSSSP(naive-online): ran out of virtual layers (" +
+                std::to_string(max_layers) + ")";
+        return false;
       }
       layer[p] = assigned;
       layers_used = std::max(layers_used, static_cast<Layer>(assigned + 1));
-    }
-    if (options_.balance) {
-      layers_used =
-          balance_layers(paths, layer, layers_used, max_layers);
     }
   } else {
     LayerOptions lopts;
@@ -87,21 +92,32 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
     lopts.balance = options_.balance;
     LayerResult res = assign_layers_offline(paths, num_channels, lopts);
     if (!res.ok) {
-      return RouteResponse::failure("DFSSSP: " + res.error);
+      error = "DFSSSP: " + res.error;
+      return false;
     }
     layer = std::move(res.layer);
     layers_used = res.layers_used;
-    out.stats.cycles_broken = res.cycles_broken;
+    stats.cycles_broken = res.cycles_broken;
+  }
+  // Algorithm 2 balances inside assign_layers_offline.
+  if (options_.mode != LayeringMode::kOffline && options_.balance) {
+    layers_used = balance_layers(paths, layer, layers_used, max_layers);
   }
 
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    out.table.set_layer(net.switch_by_index(paths.src_switch_index(p)),
-                        net.terminal_by_index(paths.dst_terminal_index(p)),
-                        layer[p]);
+  // Plane r's paths are the r-th of planes.size() equal blocks.
+  const std::size_t per_plane =
+      paths.empty() ? 0 : paths.size() / planes.size();
+  std::uint32_t p = 0;
+  for (RoutingTable& table : planes) {
+    for (const std::size_t end = p + per_plane; p < end; ++p) {
+      table.set_layer(net.switch_by_index(paths.src_switch_index(p)),
+                      net.terminal_by_index(paths.dst_terminal_index(p)),
+                      layer[p]);
+    }
+    table.set_num_layers(layers_used);
   }
-  out.table.set_num_layers(layers_used);
-  out.stats.layers_used = layers_used;
-  out.stats.layering_seconds = span.seconds();
+  stats.layers_used = layers_used;
+  stats.layering_seconds = span.seconds();
   if (acyclicity_checks > 0) {
     sink.counter("dfsssp/acyclicity_checks").tally(acyclicity_checks);
   }
@@ -112,7 +128,7 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
     sink.counter("cdg/pk_cache_rejects").tally(work.cache_rejects);
   }
   sink.gauge("dfsssp/layers_used").set(layers_used);
-  return out;
+  return true;
 }
 
 }  // namespace dfsssp

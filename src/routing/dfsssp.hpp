@@ -12,6 +12,9 @@
 //    per path with incremental acyclicity checks.
 #pragma once
 
+#include <span>
+#include <string>
+
 #include "cdg/cdg.hpp"
 #include "routing/router.hpp"
 
@@ -50,7 +53,15 @@ class DfssspRouter final : public Router {
     return "DFSSSP";
   }
   bool deadlock_free() const override { return true; }
+  /// One plane of route_planes().
   RouteResponse route(const RouteRequest& request) const override;
+
+  /// LMC planes (routing/multipath.hpp): fills each table of `planes` by
+  /// SSSP over one shared weight map, then runs ONE layering over the
+  /// planes' joint collect_paths(). False, with `error` set, on failure.
+  bool route_planes(const RouteRequest& request,
+                    std::span<RoutingTable> planes, RoutingStats& stats,
+                    std::string& error) const;
 
  private:
   DfssspOptions options_;

@@ -3,9 +3,10 @@
 // per destination). OpenSM's SSSP/DFSSSP engines route every LID, so their
 // balancing naturally diversifies the planes; we reproduce that: `planes`
 // holds one complete destination-based RoutingTable per LID offset, all
-// filled against one shared weight map, and DFSSSP's layer assignment runs
-// over the union of all planes' paths so the whole multipath routing is
-// deadlock-free on the same virtual lanes.
+// filled against one shared weight map, and DFSSSP's layer assignment
+// (DfssspRouter::route_planes) runs over the union of all planes' paths so
+// the whole multipath routing is deadlock-free on the same virtual lanes;
+// routing_is_deadlock_free (routing/collect.hpp) checks that union.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +37,10 @@ struct MultipathOutcome {
 MultipathOutcome route_sssp_multipath(const Topology& topo, std::uint8_t lmc,
                                       bool balance = true);
 
-/// DFSSSP over 2^lmc planes: SSSP planes plus ONE joint virtual-layer
-/// assignment over all planes' paths (heuristic/balance/max_layers from
-/// `options`; options.mode selects offline/online as usual).
+/// DFSSSP over 2^lmc planes: DfssspRouter(options).route_planes, i.e. SSSP
+/// planes plus ONE joint virtual-layer assignment over all planes' paths
+/// in the mode, heuristic, balance and layer budget of `options`.
 MultipathOutcome route_dfsssp_multipath(const Topology& topo, std::uint8_t lmc,
                                         DfssspOptions options = {});
-
-/// True when the union of every plane's paths is deadlock-free under the
-/// planes' layer assignments.
-bool multipath_is_deadlock_free(const Network& net,
-                                const std::vector<RoutingTable>& planes);
 
 }  // namespace dfsssp

@@ -256,13 +256,18 @@ TEST(IncrementalDfsssp, FailedRouteUnbindsTheEngine) {
   EXPECT_TRUE(check.ok) << check.error;
 }
 
-// The from-scratch route and DFSSSP's online mode share the SSSP kernel,
-// so their forwarding is the same. Layers are not compared: the two
-// first-fit in different orders (source-major vs destination-major).
+// The from-scratch route and DFSSSP's online mode share the SSSP kernel
+// and first-fit in the same order (source-major), so the daemon serves the
+// routing DFSSSP(online) reports: the same next hop and layer for every
+// (switch, terminal), and the same layer count. The Figure 9 fabrics are
+// bench_fig9's seed 0 at 200 links and the perf workloads' seed-1 fabric at
+// 140 links, which needs 3 layers source-major and 4 destination-major.
 TEST(IncrementalDfsssp, RouteMatchesDfssspOnlineNextHops) {
-  Rng rng(0xF169'0000ULL + 200);  // a Figure 9 fabric
+  Rng fig9(0xF169'0000ULL + 200);
+  Rng perf_seed1(0x87074D17124E87CEULL);
   for (const Topology& topo :
-       {make_deimos(), make_tsubame(), make_random(128, 16, 200, 16, rng)}) {
+       {make_deimos(), make_tsubame(), make_random(128, 16, 200, 16, fig9),
+        make_random(128, 16, 140, 16, perf_seed1)}) {
     SCOPED_TRACE(topo.name);
     const RouteResponse online =
         DfssspRouter(DfssspOptions{.max_layers = 16,
@@ -273,13 +278,19 @@ TEST(IncrementalDfsssp, RouteMatchesDfssspOnlineNextHops) {
     IncrementalDfsssp inc(IncrementalOptions{.max_layers = 16});
     const RouteResponse incremental = inc.route(RouteRequest(topo));
     ASSERT_TRUE(incremental.ok) << incremental.error;
-    std::uint64_t differences = 0;
+    EXPECT_EQ(incremental.stats.layers_used, online.stats.layers_used);
+    EXPECT_EQ(incremental.table.num_layers(), online.table.num_layers());
+    std::uint64_t hop_differences = 0, layer_differences = 0;
     for (NodeId sw : topo.net.switches()) {
       for (NodeId d : topo.net.terminals()) {
-        differences += online.table.next(sw, d) != incremental.table.next(sw, d);
+        hop_differences +=
+            online.table.next(sw, d) != incremental.table.next(sw, d);
+        layer_differences +=
+            online.table.layer(sw, d) != incremental.table.layer(sw, d);
       }
     }
-    EXPECT_EQ(differences, 0u);
+    EXPECT_EQ(hop_differences, 0u);
+    EXPECT_EQ(layer_differences, 0u);
   }
 }
 

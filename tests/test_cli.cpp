@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dfsssp {
 namespace {
 
@@ -52,6 +54,35 @@ TEST(Cli, BoolSpellings) {
   EXPECT_TRUE(make({"--a=yes"}).get_bool("a", false));
   EXPECT_TRUE(make({"--a=on"}).get_bool("a", false));
   EXPECT_FALSE(make({"--a=0"}).get_bool("a", true));
+}
+
+TEST(Cli, GetCountReadsWholeNumbersInRange) {
+  EXPECT_EQ(make({"--events=80"}).get_count("events", 40), 80u);
+  EXPECT_EQ(make({"--events", "7"}).get_count("events", 40), 7u);
+  EXPECT_EQ(make({}).get_count("events", 40), 40u);
+  EXPECT_EQ(make({"--n=4294967295"}).get_count("n", 1), 4294967295u);
+  EXPECT_EQ(make({"--max-layers=16"}).get_count("max-layers", 8, 16), 16u);
+}
+
+// Anything but a whole number in [1, max] exits 2 naming the flag: zero
+// patterns average nothing into a NaN, strtoll reads text as 0, and a
+// layer budget of 0 or 256 used to cast to 0 layers, 300 to 44.
+TEST(Cli, GetCountExitsTwoNamingTheFlag) {
+  for (const char* text : {"0", "-1", "abc", "5abc", "", " 5", "+5", "1.5",
+                           "4294967296"}) {
+    const std::string arg = std::string("--patterns=") + text;
+    EXPECT_EXIT(make({arg.c_str()}).get_count("patterns", 100),
+                testing::ExitedWithCode(2),
+                "--patterns=.*: expected a whole number from 1 to 4294967295")
+        << text;
+  }
+  for (const char* text : {"0", "17", "256", "300"}) {
+    const std::string arg = std::string("--max-layers=") + text;
+    EXPECT_EXIT(make({arg.c_str()}).get_count("max-layers", 8, 16),
+                testing::ExitedWithCode(2),
+                "--max-layers=.*: expected a whole number from 1 to 16")
+        << text;
+  }
 }
 
 }  // namespace

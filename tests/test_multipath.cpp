@@ -4,6 +4,7 @@
 
 #include <span>
 
+#include "routing/collect.hpp"
 #include "routing/verify.hpp"
 #include "sim/congestion.hpp"
 #include "topology/generators.hpp"
@@ -52,7 +53,7 @@ TEST(Multipath, DfssspJointLayeringIsDeadlockFree) {
   Topology topo = make_ring(7, 2);
   MultipathOutcome out = route_dfsssp_multipath(topo, 1);
   ASSERT_TRUE(out.ok) << out.error;
-  EXPECT_TRUE(multipath_is_deadlock_free(topo.net, out.planes));
+  EXPECT_TRUE(routing_is_deadlock_free(topo.net, out.planes));
   EXPECT_GE(out.stats.layers_used, 2);
   // Every plane individually is also deadlock-free (a subset of an acyclic
   // union stays acyclic).
@@ -65,7 +66,48 @@ TEST(Multipath, SsspPlanesAloneAreNotDeadlockFreeOnRing) {
   Topology topo = make_ring(5, 1);
   MultipathOutcome out = route_sssp_multipath(topo, 1);
   ASSERT_TRUE(out.ok);
-  EXPECT_FALSE(multipath_is_deadlock_free(topo.net, out.planes));
+  EXPECT_FALSE(routing_is_deadlock_free(topo.net, out.planes));
+}
+
+// The planes go through DfssspRouter's layering, so options.mode holds:
+// online first-fit breaks no cycles where Algorithm 2 must, and the joint
+// layering is deadlock-free either way.
+TEST(Multipath, OnlineModeLayersPlanesFirstFit) {
+  Topology topo = make_ring(7, 2);
+  MultipathOutcome offline = route_dfsssp_multipath(topo, 1);
+  ASSERT_TRUE(offline.ok) << offline.error;
+  EXPECT_GT(offline.stats.cycles_broken, 0u);
+  MultipathOutcome online = route_dfsssp_multipath(
+      topo, 1, DfssspOptions{.mode = LayeringMode::kOnline});
+  ASSERT_TRUE(online.ok) << online.error;
+  EXPECT_EQ(online.stats.cycles_broken, 0u);
+  EXPECT_GE(online.stats.layers_used, 2);
+  EXPECT_TRUE(routing_is_deadlock_free(topo.net, online.planes));
+}
+
+// One plane through route_planes is route(): the same next hops, layers
+// and layer count.
+TEST(Multipath, OnePlaneIsTheRouterTable) {
+  Rng rng(11);
+  Topology topo = make_random(24, 2, 40, 8, rng);
+  for (LayeringMode mode : {LayeringMode::kOffline, LayeringMode::kOnline}) {
+    const DfssspOptions options{.mode = mode};
+    const RouteResponse single = DfssspRouter(options).route(RouteRequest(topo));
+    ASSERT_TRUE(single.ok) << single.error;
+    MultipathOutcome planes = route_dfsssp_multipath(topo, 0, options);
+    ASSERT_TRUE(planes.ok) << planes.error;
+    const RoutingTable& plane = planes.planes[0];
+    EXPECT_EQ(plane.num_layers(), single.table.num_layers());
+    EXPECT_EQ(planes.stats.layers_used, single.stats.layers_used);
+    std::uint64_t differences = 0;
+    for (NodeId sw : topo.net.switches()) {
+      for (NodeId t : topo.net.terminals()) {
+        differences += plane.next(sw, t) != single.table.next(sw, t) ||
+                       plane.layer(sw, t) != single.table.layer(sw, t);
+      }
+    }
+    EXPECT_EQ(differences, 0u);
+  }
 }
 
 TEST(Multipath, SimulationUsesAllPlanes) {

@@ -299,7 +299,7 @@ void render_stats(const std::string& json) {
 /// snapshot_info-style lookups: node ids are probed by walking src/dst
 /// indices until the daemon answers kErrBadArgument.
 int run_lookup_loop(int fd, const Cli& cli) {
-  const auto count = static_cast<std::uint64_t>(cli.get_int("count", 1000));
+  const std::uint64_t count = cli.get_count("count", 1000);
   const auto stride =
       static_cast<std::uint32_t>(cli.get_int("src-stride", 7));
 

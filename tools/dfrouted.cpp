@@ -39,7 +39,7 @@ int usage(const char* prog) {
       "  --topo        topology config name (see `dftopo list`)\n"
       "  --engine      routing engine registry key (default dfsssp;\n"
       "                see `dfbench engines`)\n"
-      "  --max-layers  virtual-layer budget (default 8)\n"
+      "  --max-layers  virtual-layer budget, 1 to 16 (default 8)\n"
       "  --socket      serve a unix-domain socket at <path>\n"
       "  --pipe        serve one framed stream on stdin/stdout\n"
       "  --journal     record every mutation in the flight recorder\n"
@@ -65,12 +65,11 @@ int main(int argc, char** argv) {
   service::ServiceCoreOptions core_options;
   core_options.engine = cli.get("engine", "dfsssp");
   core_options.max_layers =
-      static_cast<Layer>(cli.get_int("max-layers", 8));
+      static_cast<Layer>(cli.get_count("max-layers", 8, kMaxLayers));
   core_options.journal_path = cli.get("journal-file", "");
   core_options.journal =
       cli.get_bool("journal", false) || !core_options.journal_path.empty();
-  core_options.journal_capacity =
-      static_cast<std::uint32_t>(cli.get_int("journal-capacity", 8192));
+  core_options.journal_capacity = cli.get_count("journal-capacity", 8192);
   core_options.journal_config = topo_name;
 
   try {
