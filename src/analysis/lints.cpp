@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "analysis/existence.hpp"
-#include "routing/spath.hpp"
+#include "topology/metrics.hpp"
 
 namespace dfsssp {
 

@@ -71,12 +71,4 @@ bool layering_is_deadlock_free(const PathSet& paths,
   return all_acyclic.load();
 }
 
-Layer count_used_layers(const PathSet& paths, std::span<const Layer> layer) {
-  std::set<Layer> used;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    if (!paths.channels(p).empty()) used.insert(layer[p]);
-  }
-  return used.empty() ? 1 : static_cast<Layer>(*used.rbegin() + 1);
-}
-
 }  // namespace dfsssp

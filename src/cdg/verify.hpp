@@ -30,7 +30,4 @@ bool layering_is_deadlock_free(const PathSet& paths,
                                std::uint32_t num_channels,
                                const ExecContext& exec = {});
 
-/// Number of distinct layers carrying at least one dependency-inducing path.
-Layer count_used_layers(const PathSet& paths, std::span<const Layer> layer);
-
 }  // namespace dfsssp

@@ -22,11 +22,12 @@ class Cli {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
-  /// The flag as a whole decimal number in [1, max], `fallback` when it is
-  /// absent. Anything else exits 2 naming the flag: a cast would wrap it.
-  std::uint32_t get_count(
-      const std::string& key, std::uint32_t fallback,
-      std::uint32_t max = std::numeric_limits<std::uint32_t>::max()) const;
+  /// The flag as a whole decimal number in [min, max], `fallback` when it
+  /// is absent. Anything else exits 2 naming the flag: a cast would wrap it.
+  std::uint64_t get_count(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint32_t>::max(),
+      std::uint64_t min = 1) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }

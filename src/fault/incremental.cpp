@@ -6,6 +6,37 @@
 #include "obs/trace.hpp"
 
 namespace dfsssp {
+namespace {
+
+/// The engine's work counters. Each is tallied inside the leaf span that
+/// did the work: sssp/* on fault/sssp, the first-fit counts on
+/// fault/first_fit, entries_scanned on fault/invalidate and
+/// paths_retracted on fault/retract.
+struct Counters {
+  obs::Counter &passes, &pops, &pushes, &relaxations;
+  obs::Counter &checks, &insertions, &search_visits, &cycle_rejects,
+      &cache_rejects;
+  obs::Counter &entries_scanned, &paths_retracted;
+};
+
+/// Looked up at the first tally, so a process whose engine does no work
+/// registers none.
+Counters& counters() {
+  static Counters c{obs::registry().counter("sssp/dijkstra_passes"),
+                    obs::registry().counter("sssp/heap_pops"),
+                    obs::registry().counter("sssp/heap_pushes"),
+                    obs::registry().counter("sssp/relaxations"),
+                    obs::registry().counter("fault/acyclicity_checks"),
+                    obs::registry().counter("cdg/edge_insertions"),
+                    obs::registry().counter("cdg/pk_search_visits"),
+                    obs::registry().counter("cdg/pk_cycle_rejects"),
+                    obs::registry().counter("cdg/pk_cache_rejects"),
+                    obs::registry().counter("fault/entries_scanned"),
+                    obs::registry().counter("fault/paths_retracted")};
+  return c;
+}
+
+}  // namespace
 
 IncrementalDfsssp::IncrementalDfsssp(IncrementalOptions options)
     : options_(options) {}
@@ -26,28 +57,8 @@ void IncrementalDfsssp::reset(const Topology& topo, Layer max_layers) {
   certificate_ = {};
 }
 
-IncrementalDfsssp::Counters::Counters(obs::Registry& sink)
-    : passes(&sink.counter("sssp/dijkstra_passes")),
-      pops(&sink.counter("sssp/heap_pops")),
-      pushes(&sink.counter("sssp/heap_pushes")),
-      relaxations(&sink.counter("sssp/relaxations")),
-      checks(&sink.counter("fault/acyclicity_checks")),
-      insertions(&sink.counter("cdg/edge_insertions")),
-      search_visits(&sink.counter("cdg/pk_search_visits")),
-      cycle_rejects(&sink.counter("cdg/pk_cycle_rejects")),
-      cache_rejects(&sink.counter("cdg/pk_cache_rejects")),
-      entries_scanned(&sink.counter("fault/entries_scanned")),
-      paths_retracted(&sink.counter("fault/paths_retracted")) {}
-
-void IncrementalDfsssp::start_call(const RouteRequest& request) {
+void IncrementalDfsssp::start_call() {
   dijkstra_seconds_ = layering_seconds_ = 0.0;
-  sink_ = &request.sink();
-  counters_.reset();
-}
-
-IncrementalDfsssp::Counters& IncrementalDfsssp::counters() {
-  if (!counters_) counters_.emplace(*sink_);
-  return *counters_;
 }
 
 void IncrementalDfsssp::retract_destination(std::uint32_t ti) {
@@ -56,7 +67,7 @@ void IncrementalDfsssp::retract_destination(std::uint32_t ti) {
   const Network& net = topo_->net;
   const NodeId d = net.terminal_by_index(ti);
   if (dp.routed) {
-    counters().paths_retracted->tally(dp.src.size());
+    counters().paths_retracted.tally(dp.src.size());
     for (std::size_t e = 0; e < dp.src.size(); ++e) {
       const std::span<const ChannelId> seq{dp.channels.data() + dp.offset[e],
                                            dp.offset[e + 1] - dp.offset[e]};
@@ -81,10 +92,11 @@ bool IncrementalDfsssp::route_destination(std::uint32_t ti,
   const std::size_t settled =
       sssp_destination(net.node(net.switch_of(d)).type_index, weight_,
                        /*update_weights=*/true, sssp_);
-  counters().passes->tally(sssp_.work.passes);
-  counters().pops->tally(sssp_.work.pops);
-  counters().pushes->tally(sssp_.work.pushes);
-  counters().relaxations->tally(sssp_.work.relaxations);
+  Counters& c = counters();
+  c.passes.tally(sssp_.work.passes);
+  c.pops.tally(sssp_.work.pops);
+  c.pushes.tally(sssp_.work.pushes);
+  c.relaxations.tally(sssp_.work.relaxations);
   if (settled != net.num_alive_switches()) {
     error = "alive network is disconnected";
     return false;
@@ -150,14 +162,12 @@ bool IncrementalDfsssp::place(std::span<const std::uint32_t> destinations,
   const FirstFitLayerer::Work after = layers_.work();
   layering_seconds_ += span.seconds();
   if (after.attempts != before.attempts) {
-    counters().checks->tally(after.attempts - before.attempts);
-    counters().insertions->tally(after.insertions - before.insertions);
-    counters().search_visits->tally(after.search_visits -
-                                    before.search_visits);
-    counters().cycle_rejects->tally(after.cycle_rejects -
-                                    before.cycle_rejects);
-    counters().cache_rejects->tally(after.cache_rejects -
-                                    before.cache_rejects);
+    Counters& c = counters();
+    c.checks.tally(after.attempts - before.attempts);
+    c.insertions.tally(after.insertions - before.insertions);
+    c.search_visits.tally(after.search_visits - before.search_visits);
+    c.cycle_rejects.tally(after.cycle_rejects - before.cycle_rejects);
+    c.cache_rejects.tally(after.cache_rejects - before.cache_rejects);
   }
   return placed;
 }
@@ -169,8 +179,7 @@ std::uint64_t IncrementalDfsssp::count_paths() const {
   return routed * (topo_->net.num_alive_switches() - 1);
 }
 
-RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
-                                        RouteResponse out) {
+RouteResponse IncrementalDfsssp::finish(RouteResponse out) {
   const Network& net = topo_->net;
   const Layer layers_used = layers_.layers_used();
   table_.set_num_layers(layers_used);
@@ -197,10 +206,12 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
   out.stats.paths = count_paths();
 
   // The work counts were tallied at the leaves; only the gauges remain.
-  obs::Registry& sink = request.sink();
-  sink.gauge("fault/active_paths").set(out.stats.paths);
-  sink.gauge("fault/layers_used").set(layers_used);
-  sink.gauge("fault/dead_channels").set(net.num_dead_channels());
+  static obs::Gauge& g_paths = obs::registry().gauge("fault/active_paths");
+  static obs::Gauge& g_layers = obs::registry().gauge("fault/layers_used");
+  static obs::Gauge& g_dead = obs::registry().gauge("fault/dead_channels");
+  g_paths.set(out.stats.paths);
+  g_layers.set(layers_used);
+  g_dead.set(net.num_dead_channels());
   return out;
 }
 
@@ -214,7 +225,7 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
   obs::TraceSpan span("fault/route_full");
   const Topology& topo = request.topo();
   reset(topo, request.layer_budget(options_.max_layers));
-  start_call(request);
+  start_call();
   const Network& net = topo.net;
   sssp_snapshot(net, sssp_);
 
@@ -228,17 +239,19 @@ RouteResponse IncrementalDfsssp::route(const RouteRequest& request) {
   }
   if (!place(alive, error)) return fail(error);
   out.repair.destinations_rerouted = static_cast<std::uint32_t>(alive.size());
-  return finish(request, std::move(out));
+  return finish(std::move(out));
 }
 
 RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
                                         const ChurnDelta& delta) {
   obs::TraceSpan span("fault/repair");
-  obs::Registry& sink = request.sink();
-  sink.counter("fault/repairs").add(1);
+  static obs::Counter& c_repairs = obs::registry().counter("fault/repairs");
+  c_repairs.add(1);
 
   auto full_fallback = [&](const std::string& reason) {
-    sink.counter("fault/full_recomputes").add(1);
+    static obs::Counter& c_full =
+        obs::registry().counter("fault/full_recomputes");
+    c_full.add(1);
     RouteResponse out = route(request);
     out.repair.fallback_reason = reason;
     return out;
@@ -253,12 +266,12 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
     return full_fallback("switch revived");
   }
 
-  start_call(request);
+  start_call();
   const Network& net = topo_->net;
   RouteResponse out;
   out.repair.incremental = true;
 
-  if (delta.no_effect()) return finish(request, std::move(out));
+  if (delta.no_effect()) return finish(std::move(out));
 
   // Invalidate: destinations that died with their switch, and destinations
   // whose forwarding entries (at any alive switch) use a downed channel —
@@ -291,7 +304,7 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
         }
       }
     }
-    counters().entries_scanned->tally(scanned);
+    counters().entries_scanned.tally(scanned);
   }
 
   for (std::uint32_t ti : gone) retract_destination(ti);
@@ -310,9 +323,13 @@ RouteResponse IncrementalDfsssp::repair(const RouteRequest& request,
   out.repair.destinations_rerouted =
       static_cast<std::uint32_t>(affected.size());
   out.repair.paths_migrated = migrated;
-  sink.counter("fault/destinations_rerouted").add(affected.size());
-  sink.counter("fault/paths_migrated").add(migrated);
-  return finish(request, std::move(out));
+  static obs::Counter& c_rerouted =
+      obs::registry().counter("fault/destinations_rerouted");
+  static obs::Counter& c_migrated =
+      obs::registry().counter("fault/paths_migrated");
+  c_rerouted.add(affected.size());
+  c_migrated.add(migrated);
+  return finish(std::move(out));
 }
 
 }  // namespace dfsssp

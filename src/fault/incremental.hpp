@@ -27,12 +27,11 @@
 //
 // A failed route() or repair() unbinds the engine, so the next repair is a
 // full recompute. The engine speaks the unified RouteRequest/RouteResponse
-// API, flushes its counters into the request's sink and reports a repair's
-// provenance in RouteResponse::repair.
+// API, tallies its work into obs::registry() at the leaf spans that did it
+// and reports a repair's provenance in RouteResponse::repair.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,24 +80,9 @@ class IncrementalDfsssp {
     std::vector<Layer> layer;  // per src entry
   };
 
-  /// The request sink's work counters, looked up once per call. Each is
-  /// tallied inside the leaf span that did the work: sssp/* on fault/sssp,
-  /// the first-fit counts on fault/first_fit, entries_scanned on
-  /// fault/invalidate and paths_retracted on fault/retract.
-  struct Counters {
-    explicit Counters(obs::Registry& sink);
-    obs::Counter *passes, *pops, *pushes, *relaxations;
-    obs::Counter *checks, *insertions, *search_visits, *cycle_rejects,
-        *cache_rejects;
-    obs::Counter *entries_scanned, *paths_retracted;
-  };
-
   void reset(const Topology& topo, Layer max_layers);
-  /// Zeroes the per-call accumulators and binds the request's sink.
-  void start_call(const RouteRequest& request);
-  /// The bound sink's counters, looked up at the call's first tally, so a
-  /// call that does no work registers none.
-  Counters& counters();
+  /// Zeroes the per-call accumulators.
+  void start_call();
   /// Retracts a destination's paths from the layers and the weight map and
   /// clears its table column.
   void retract_destination(std::uint32_t ti);
@@ -108,7 +92,7 @@ class IncrementalDfsssp {
   /// First-fits the just-routed paths of `destinations` (ascending)
   /// source-major. False, with `error` set, when a path fits no layer.
   bool place(std::span<const std::uint32_t> destinations, std::string& error);
-  RouteResponse finish(const RouteRequest& request, RouteResponse out);
+  RouteResponse finish(RouteResponse out);
   RouteResponse fail(const std::string& error);  // unbinds the engine
   std::uint64_t count_paths() const;
 
@@ -127,8 +111,6 @@ class IncrementalDfsssp {
   // Per-call accumulators (set by start_call()).
   double dijkstra_seconds_ = 0.0;
   double layering_seconds_ = 0.0;
-  obs::Registry* sink_ = nullptr;
-  std::optional<Counters> counters_;
 };
 
 }  // namespace dfsssp

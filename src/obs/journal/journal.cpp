@@ -208,14 +208,10 @@ std::string describe(const Record& r) {
 Journal::Journal(Options opts)
     : opts_(std::move(opts)),
       ring_(opts_.capacity > 0 ? opts_.capacity : 1),
-      appended_((opts_.metrics != nullptr ? *opts_.metrics : registry())
-                    .counter("journal/records_appended")),
-      dropped_((opts_.metrics != nullptr ? *opts_.metrics : registry())
-                   .counter("journal/records_dropped")),
-      bytes_written_((opts_.metrics != nullptr ? *opts_.metrics : registry())
-                         .counter("journal/bytes_written")),
-      sink_errors_((opts_.metrics != nullptr ? *opts_.metrics : registry())
-                       .counter("journal/sink_errors")) {
+      appended_(registry().counter("journal/records_appended")),
+      dropped_(registry().counter("journal/records_dropped")),
+      bytes_written_(registry().counter("journal/bytes_written")),
+      sink_errors_(registry().counter("journal/sink_errors")) {
   if (opts_.capacity == 0) opts_.capacity = 1;
   if (opts_.path.empty()) return;
   fd_ = ::open(opts_.path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,

@@ -119,7 +119,6 @@ class Journal {
     std::string topo_config;  // configs.hpp registry key or kary-tree:K:N
     std::string engine;       // routing engine registry key
     std::uint16_t max_layers = 0;  // the core's default layer budget
-    Registry* metrics = nullptr;   // nullptr = process-global registry()
   };
 
   explicit Journal(Options opts);

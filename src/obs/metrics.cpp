@@ -71,16 +71,6 @@ HistogramValue Histogram::value() const {
   return out;
 }
 
-void Histogram::reset() {
-  for (Shard& s : shards_) {
-    for (std::size_t b = 0; b <= edges_.size(); ++b) {
-      s.counts[b].store(0, std::memory_order_relaxed);
-    }
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::vector<std::uint64_t> exponential_buckets(std::uint64_t start,
                                                double factor, std::size_t n) {
   std::vector<std::uint64_t> edges;
@@ -199,15 +189,6 @@ Snapshot Registry::snapshot() const {
     snap.emplace(name, std::move(v));
   }
   return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, e] : metrics_) {
-    if (e.counter) e.counter->reset();
-    if (e.gauge) e.gauge->reset();
-    if (e.histogram) e.histogram->reset();
-  }
 }
 
 Registry& registry() {

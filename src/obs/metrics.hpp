@@ -87,9 +87,6 @@ class Counter {
   friend class Registry;
   Counter(std::string name, Kind kind)
       : name_(std::move(name)), kind_(kind) {}
-  void reset() {
-    for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
   std::string name_;
   Kind kind_;
   std::array<detail::Slot, kMaxShards> slots_;
@@ -106,7 +103,6 @@ class Gauge {
  private:
   friend class Registry;
   Gauge() = default;
-  void reset() { set(0); }
   std::atomic<std::uint64_t> v_{0};
 };
 
@@ -134,7 +130,6 @@ class Histogram {
  private:
   friend class Registry;
   explicit Histogram(std::vector<std::uint64_t> edges);
-  void reset();
 
   struct alignas(64) Shard {
     std::unique_ptr<std::atomic<std::uint64_t>[]> counts;  // edges + overflow
@@ -189,10 +184,6 @@ class Registry {
   /// Merged reading of every registered metric.
   Snapshot snapshot() const;
 
-  /// Zeroes every metric (registrations survive). Tests only; concurrent
-  /// recorders make the wiped state ill-defined.
-  void reset();
-
  private:
   struct Entry {
     Kind kind = Kind::kDeterministic;
@@ -205,7 +196,9 @@ class Registry {
   std::map<std::string, Entry> metrics_;
 };
 
-/// The process-wide registry all instrumentation records into.
+/// The process-wide registry all instrumentation records into, and the
+/// only one outside the registry's own tests: a caller isolates one run's
+/// contribution with snapshot_delta.
 Registry& registry();
 
 /// `after - before`, for isolating one run's contribution on the global

@@ -26,14 +26,12 @@ bool DfssspRouter::route_planes(const RouteRequest& request,
   const Network& net = request.topo().net;
   const Layer max_layers = request.layer_budget(options_.max_layers);
   if (!sssp_fill_planes(net, SsspOptions{.balance = true}, planes, stats,
-                        error, request.sink())) {
+                        error)) {
     return false;
   }
 
   obs::TraceSpan span("dfsssp/layering");
-  // Work counts go to the request's sink, so a caller-supplied registry
-  // (fault repair, tests) sees them, and onto this span's profile node.
-  obs::Registry& sink = request.sink();
+  // Work counts are tallied onto this span's profile node as well.
   std::uint64_t acyclicity_checks = 0;
   FirstFitLayerer::Work work;
   const std::uint32_t num_channels =
@@ -58,7 +56,9 @@ bool DfssspRouter::route_planes(const RouteRequest& request,
     layers_used = layers.layers_used();
     work = layers.work();
     acyclicity_checks = work.attempts;
-    sink.counter("cdg/edge_insertions").tally(work.insertions);
+    static obs::Counter& c_insertions =
+        obs::registry().counter("cdg/edge_insertions");
+    c_insertions.tally(work.insertions);
   } else if (options_.mode == LayeringMode::kOnlineNaive) {
     // The paper's first approach: per path, per candidate layer, rebuild
     // the layer's member set and run a full depth-first cycle search.
@@ -119,15 +119,26 @@ bool DfssspRouter::route_planes(const RouteRequest& request,
   stats.layers_used = layers_used;
   stats.layering_seconds = span.seconds();
   if (acyclicity_checks > 0) {
-    sink.counter("dfsssp/acyclicity_checks").tally(acyclicity_checks);
+    static obs::Counter& c_checks =
+        obs::registry().counter("dfsssp/acyclicity_checks");
+    c_checks.tally(acyclicity_checks);
   }
   if (work.reorders > 0) {
-    sink.counter("dfsssp/pk_reorders").tally(work.reorders);
-    sink.counter("cdg/pk_search_visits").tally(work.search_visits);
-    sink.counter("cdg/pk_cycle_rejects").tally(work.cycle_rejects);
-    sink.counter("cdg/pk_cache_rejects").tally(work.cache_rejects);
+    static obs::Counter& c_reorders =
+        obs::registry().counter("dfsssp/pk_reorders");
+    static obs::Counter& c_visits =
+        obs::registry().counter("cdg/pk_search_visits");
+    static obs::Counter& c_cycle_rejects =
+        obs::registry().counter("cdg/pk_cycle_rejects");
+    static obs::Counter& c_cache_rejects =
+        obs::registry().counter("cdg/pk_cache_rejects");
+    c_reorders.tally(work.reorders);
+    c_visits.tally(work.search_visits);
+    c_cycle_rejects.tally(work.cycle_rejects);
+    c_cache_rejects.tally(work.cache_rejects);
   }
-  sink.gauge("dfsssp/layers_used").set(layers_used);
+  static obs::Gauge& g_layers = obs::registry().gauge("dfsssp/layers_used");
+  g_layers.set(layers_used);
   return true;
 }
 

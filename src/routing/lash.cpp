@@ -4,7 +4,7 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/spath.hpp"
+#include "topology/metrics.hpp"
 
 namespace dfsssp {
 
@@ -100,12 +100,21 @@ RouteResponse LashRouter::route(const RouteRequest& request) const {
   out.stats.layering_seconds = span.seconds() - out.stats.route_seconds;
   // Deterministic layering cost, also attributed to the lash/route span.
   const FirstFitLayerer::Work work = layers.work();
-  obs::Registry& sink = request.sink();
-  sink.counter("lash/layer_attempts").tally(work.attempts);
-  sink.counter("cdg/edge_insertions").tally(work.insertions);
-  sink.counter("cdg/pk_search_visits").tally(work.search_visits);
-  sink.counter("cdg/pk_cycle_rejects").tally(work.cycle_rejects);
-  sink.counter("cdg/pk_cache_rejects").tally(work.cache_rejects);
+  static obs::Counter& c_attempts =
+      obs::registry().counter("lash/layer_attempts");
+  static obs::Counter& c_insertions =
+      obs::registry().counter("cdg/edge_insertions");
+  static obs::Counter& c_visits =
+      obs::registry().counter("cdg/pk_search_visits");
+  static obs::Counter& c_cycle_rejects =
+      obs::registry().counter("cdg/pk_cycle_rejects");
+  static obs::Counter& c_cache_rejects =
+      obs::registry().counter("cdg/pk_cache_rejects");
+  c_attempts.tally(work.attempts);
+  c_insertions.tally(work.insertions);
+  c_visits.tally(work.search_visits);
+  c_cycle_rejects.tally(work.cycle_rejects);
+  c_cache_rejects.tally(work.cache_rejects);
   out.ok = true;
   return out;
 }

@@ -1,7 +1,7 @@
 #include "routing/minhop.hpp"
 
 #include "obs/trace.hpp"
-#include "routing/spath.hpp"
+#include "topology/metrics.hpp"
 
 namespace dfsssp {
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "routing/registry.hpp"
 
 namespace dfsssp {
@@ -12,10 +11,6 @@ const Topology& RouteRequest::topo() const {
     throw std::logic_error("RouteRequest without a topology");
   }
   return *topology;
-}
-
-obs::Registry& RouteRequest::sink() const {
-  return metrics != nullptr ? *metrics : obs::registry();
 }
 
 std::vector<std::unique_ptr<Router>> make_all_routers(Layer max_layers) {

@@ -1,13 +1,14 @@
 // The common interface of every routing engine.
 //
 // An engine consumes a RouteRequest — the topology plus the execution
-// policy of the run (virtual-layer budget, thread context, metrics sink) —
-// and produces a RouteResponse: forwarding tables, a virtual-layer
-// assignment, statistics, and (for the incremental fault-repair engine)
-// repair provenance. Engines that cannot handle a topology (fat-tree
-// routing on a ring, DOR without coordinates, DFSSSP running out of virtual
-// layers) report failure through RouteResponse instead of throwing — the
-// paper's Figure 4 plots exactly those failures as missing bars.
+// policy of the run (virtual-layer budget, thread context) — and produces
+// a RouteResponse: forwarding tables, a virtual-layer assignment,
+// statistics, and (for the incremental fault-repair engine) repair
+// provenance. Engines that cannot handle a topology (fat-tree routing on a
+// ring, DOR without coordinates, DFSSSP running out of virtual layers)
+// report failure through RouteResponse instead of throwing — the paper's
+// Figure 4 plots exactly those failures as missing bars. Every engine
+// records its work counts into the process-wide obs::registry().
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,6 @@
 #include "topology/topology.hpp"
 
 namespace dfsssp {
-
-namespace obs {
-class Registry;
-}  // namespace obs
 
 /// One routing request: everything an engine needs beyond its own
 /// configuration. Cheap to construct at the call site; the topology is
@@ -40,9 +37,6 @@ struct RouteRequest {
   /// bitwise identical at any thread count (the PR-1 contract).
   ExecContext exec;
 
-  /// Metrics sink; nullptr = the process-global obs::registry().
-  obs::Registry* metrics = nullptr;
-
   RouteRequest() = default;
   explicit RouteRequest(const Topology& topo) : topology(&topo) {}
   RouteRequest(const Topology& topo, const ExecContext& e)
@@ -52,9 +46,6 @@ struct RouteRequest {
 
   /// The request's topology; throws std::logic_error on a null request.
   const Topology& topo() const;
-
-  /// The metrics sink to record into (global registry by default).
-  obs::Registry& sink() const;
 
   /// The engine's effective layer budget: the request's override when set,
   /// `engine_default` otherwise.

@@ -3,15 +3,22 @@
 #include <cassert>
 #include <span>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dfsssp {
 
-void SsspWork::flush(obs::Registry& sink) const {
-  sink.counter("sssp/dijkstra_passes").tally(passes);
-  sink.counter("sssp/heap_pops").tally(pops);
-  sink.counter("sssp/heap_pushes").tally(pushes);
-  sink.counter("sssp/relaxations").tally(relaxations);
+void SsspWork::flush() const {
+  static obs::Counter& c_passes =
+      obs::registry().counter("sssp/dijkstra_passes");
+  static obs::Counter& c_pops = obs::registry().counter("sssp/heap_pops");
+  static obs::Counter& c_pushes = obs::registry().counter("sssp/heap_pushes");
+  static obs::Counter& c_relaxations =
+      obs::registry().counter("sssp/relaxations");
+  c_passes.tally(passes);
+  c_pops.tally(pops);
+  c_pushes.tally(pushes);
+  c_relaxations.tally(relaxations);
 }
 
 void sssp_snapshot(const Network& net, SsspScratch& scratch) {
@@ -104,7 +111,7 @@ std::size_t sssp_destination(std::uint32_t dst_index,
 
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
-                      std::string& error, obs::Registry& sink) {
+                      std::string& error) {
   obs::TraceSpan span("sssp/fill_planes");
   const std::size_t num_sw = net.num_switches();
   std::vector<std::uint64_t> weight(
@@ -132,17 +139,16 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
   }
 
   // Tallied onto the sssp/fill_planes span as well.
-  scratch.work.flush(sink);
+  scratch.work.flush();
   stats.route_seconds += span.seconds();
   return true;
 }
 
-RouteResponse route_sssp(const Network& net, const SsspOptions& options,
-                         obs::Registry& sink) {
+RouteResponse route_sssp(const Network& net, const SsspOptions& options) {
   RouteResponse out;
   out.table = RoutingTable(net);
   std::span<RoutingTable> planes(&out.table, 1);
-  if (!sssp_fill_planes(net, options, planes, out.stats, out.error, sink)) {
+  if (!sssp_fill_planes(net, options, planes, out.stats, out.error)) {
     return out;
   }
   out.ok = true;
@@ -151,7 +157,7 @@ RouteResponse route_sssp(const Network& net, const SsspOptions& options,
 
 RouteResponse SsspRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();
-  return route_sssp(topo.net, options_, request.sink());
+  return route_sssp(topo.net, options_);
 }
 
 }  // namespace dfsssp

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/heap.hpp"
-#include "obs/metrics.hpp"
 #include "routing/router.hpp"
 
 namespace dfsssp {
@@ -48,9 +47,9 @@ class SsspRouter final : public Router {
 struct SsspWork {
   std::uint64_t passes = 0, pops = 0, pushes = 0, relaxations = 0;
 
-  /// Tallies into the sssp/* counters of `sink` and onto the calling
-  /// thread's innermost open span.
-  void flush(obs::Registry& sink) const;
+  /// Tallies into the sssp/* counters and onto the calling thread's
+  /// innermost open span.
+  void flush() const;
 };
 
 /// Caller-owned scratch of sssp_destination, reused across destinations.
@@ -101,10 +100,8 @@ std::size_t sssp_destination(std::uint32_t dst_index,
                              std::span<std::uint64_t> weight,
                              bool update_weights, SsspScratch& scratch);
 
-/// Shared core used by SsspRouter and DfssspRouter; the sssp/* counters go
-/// to `sink`.
-RouteResponse route_sssp(const Network& net, const SsspOptions& options,
-                         obs::Registry& sink = obs::registry());
+/// Shared core used by SsspRouter and DfssspRouter.
+RouteResponse route_sssp(const Network& net, const SsspOptions& options);
 
 /// Multi-plane core (InfiniBand LMC multipathing): fills every table in
 /// `planes` with one complete destination-based routing each, running the
@@ -114,7 +111,6 @@ RouteResponse route_sssp(const Network& net, const SsspOptions& options,
 /// LIDs of a port. Returns false on a disconnected network.
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
-                      std::string& error,
-                      obs::Registry& sink = obs::registry());
+                      std::string& error);
 
 }  // namespace dfsssp

@@ -4,9 +4,30 @@
 
 #include "common/heap.hpp"
 #include "obs/trace.hpp"
-#include "routing/spath.hpp"
+#include "topology/metrics.hpp"
 
 namespace dfsssp {
+namespace {
+
+/// Eccentricity-minimal switch (graph center), ties broken by lowest id:
+/// the root.
+NodeId find_center_switch(const Network& net) {
+  NodeId best = kInvalidNode;
+  std::uint32_t best_ecc = kUnreachable;
+  std::vector<std::uint32_t> dist;
+  for (NodeId sw : net.switches()) {
+    bfs_hops_to(net, sw, dist);
+    std::uint32_t ecc = 0;
+    for (std::uint32_t d : dist) ecc = std::max(ecc, d);
+    if (ecc < best_ecc) {
+      best_ecc = ecc;
+      best = sw;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 RouteResponse UpDownRouter::route(const RouteRequest& request) const {
   const Topology& topo = request.topo();

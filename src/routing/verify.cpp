@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "routing/spath.hpp"
+#include "topology/metrics.hpp"
 
 namespace dfsssp {
 

@@ -13,25 +13,24 @@
 namespace dfsssp::service {
 
 ServiceCore::ServiceCore(Topology topo, ServiceCoreOptions options)
-    : metrics_(options.metrics != nullptr ? *options.metrics
-                                          : obs::registry()),
-      topo_(std::move(topo)),
+    : topo_(std::move(topo)),
       churn_(topo_),
       engine_key_(options.engine),
       max_layers_(options.max_layers),
-      requests_(metrics_.counter("service/requests")),
-      lookups_(metrics_.counter("service/lookups")),
-      repairs_(metrics_.counter("service/repairs")),
-      routes_(metrics_.counter("service/routes")),
-      fault_events_(metrics_.counter("service/fault_events")),
-      snapshot_swaps_(metrics_.counter("service/snapshot_swaps")),
-      errors_(metrics_.counter("service/errors")),
-      draining_rejects_(metrics_.counter("service/draining_rejects")),
-      pending_events_gauge_(metrics_.gauge("service/pending_events")),
-      snapshot_version_gauge_(metrics_.gauge("service/snapshot_version")),
-      lookup_ns_(metrics_.timing_histogram("service/lookup_ns")),
-      repair_ns_(metrics_.timing_histogram("service/repair_ns")),
-      route_ns_(metrics_.timing_histogram("service/route_ns")) {
+      requests_(obs::registry().counter("service/requests")),
+      lookups_(obs::registry().counter("service/lookups")),
+      repairs_(obs::registry().counter("service/repairs")),
+      routes_(obs::registry().counter("service/routes")),
+      fault_events_(obs::registry().counter("service/fault_events")),
+      snapshot_swaps_(obs::registry().counter("service/snapshot_swaps")),
+      errors_(obs::registry().counter("service/errors")),
+      draining_rejects_(obs::registry().counter("service/draining_rejects")),
+      pending_events_gauge_(obs::registry().gauge("service/pending_events")),
+      snapshot_version_gauge_(
+          obs::registry().gauge("service/snapshot_version")),
+      lookup_ns_(obs::registry().timing_histogram("service/lookup_ns")),
+      repair_ns_(obs::registry().timing_histogram("service/repair_ns")),
+      route_ns_(obs::registry().timing_histogram("service/route_ns")) {
   start_ns_ = Timer::now_ns();
   if (options.journal) {
     obs::journal::Journal::Options jopts;
@@ -40,7 +39,6 @@ ServiceCore::ServiceCore(Topology topo, ServiceCoreOptions options)
     jopts.topo_config = options.journal_config;
     jopts.engine = engine_key_;
     jopts.max_layers = max_layers_;
-    jopts.metrics = &metrics_;
     journal_ = std::make_unique<obs::journal::Journal>(std::move(jopts));
     if (!journal_->sink_ok()) {
       throw std::runtime_error("journal: " + journal_->error());
@@ -103,8 +101,9 @@ ServiceResponse ServiceCore::handle(const ServiceRequest& request) {
     errors_.inc();
     // Per status as well, so a client's wrong-type probes (bad_argument)
     // do not hide failed routes or draining rejects in the total.
-    // NOLINTNEXTLINE(dfs-metric-name-literal): bounded by the Status enum
-    metrics_.counter(std::string("service/errors/") + to_string(resp.status))
+    obs::registry()
+        // NOLINTNEXTLINE(dfs-metric-name-literal): bounded by the Status enum
+        .counter(std::string("service/errors/") + to_string(resp.status))
         .inc();
   }
   return resp;
@@ -195,7 +194,6 @@ ServiceResponse ServiceCore::do_route(const ServiceRequest& r) {
   std::lock_guard<std::mutex> lock(engine_mu_);
   const std::uint64_t version_before = slot_.version();
   RouteRequest req(topo_, r.max_layers != 0 ? r.max_layers : max_layers_);
-  req.metrics = &metrics_;
   RouteResponse route =
       incremental_ ? incremental_->route(req) : router_->route(req);
   ServiceResponse resp = publish(r, std::move(route), timer.elapsed_ns());
@@ -245,7 +243,6 @@ ServiceResponse ServiceCore::do_repair(const ServiceRequest& r) {
   const std::uint64_t vetoed =
       churn_.events_vetoed() - vetoed_before;
   RouteRequest req(topo_, max_layers_);
-  req.metrics = &metrics_;
   RouteResponse route;
   bool fallback = false;
   if (incremental_) {
@@ -368,7 +365,7 @@ ServiceResponse ServiceCore::do_lookup(const ServiceRequest& r) {
 }
 
 ServiceResponse ServiceCore::do_stats(const ServiceRequest& r) {
-  const obs::Snapshot snap = metrics_.snapshot();
+  const obs::Snapshot snap = obs::registry().snapshot();
   std::ostringstream out;
   out << "{\n  \"metrics\": ";
   obs::write_metrics_json(out, snap, obs::Kind::kDeterministic, 2);

@@ -46,8 +46,6 @@ struct ServiceCoreOptions {
   std::string engine = "dfsssp";
   /// Virtual-layer budget; a route request's max_layers overrides.
   Layer max_layers = 8;
-  /// Metrics sink; nullptr = the process-global obs::registry().
-  obs::Registry* metrics = nullptr;
   /// Flight recorder (obs/journal). Off by default; when on, every
   /// mutation emits journal records (and the published table + certificate
   /// are digested per generation, which is what makes `dfreplay --verify`
@@ -113,7 +111,6 @@ class ServiceCore {
                         std::uint64_t ts, std::uint64_t version_before,
                         bool fallback, std::uint64_t latency_ns);
 
-  obs::Registry& metrics_;
   Topology topo_;
   ChurnEngine churn_;
   std::string engine_key_;

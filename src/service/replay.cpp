@@ -86,12 +86,10 @@ ServiceRequest request_for(const Record& trigger, std::uint64_t request_id) {
 
 class InProcessTarget final : public ReplayTarget {
  public:
-  explicit InProcessTarget(const obs::journal::JournalFile& file)
-      : metrics_(std::make_unique<obs::Registry>()) {
+  explicit InProcessTarget(const obs::journal::JournalFile& file) {
     ServiceCoreOptions opts;
     opts.engine = file.engine;
     opts.max_layers = static_cast<Layer>(file.max_layers);
-    opts.metrics = metrics_.get();
     opts.journal = true;
     opts.journal_config = file.topo_config;
     core_ = std::make_unique<ServiceCore>(
@@ -112,9 +110,6 @@ class InProcessTarget final : public ReplayTarget {
   }
 
  private:
-  // A private registry so replay never pollutes (or reads) the process
-  // registry of whatever tool hosts it.
-  std::unique_ptr<obs::Registry> metrics_;
   std::unique_ptr<ServiceCore> core_;
 };
 

@@ -14,19 +14,12 @@
 #include "common/frame.hpp"
 
 namespace dfsssp::service {
-namespace {
-
-obs::Registry& sink(const ServerOptions& options) {
-  return options.metrics != nullptr ? *options.metrics : obs::registry();
-}
-
-}  // namespace
 
 Server::Server(ServiceCore& core, ServerOptions options)
     : core_(&core),
       options_(std::move(options)),
-      frames_malformed_(sink(options_).counter("service/frames_malformed")),
-      frames_oversized_(sink(options_).counter("service/frames_oversized")) {}
+      frames_malformed_(obs::registry().counter("service/frames_malformed")),
+      frames_oversized_(obs::registry().counter("service/frames_oversized")) {}
 
 void Server::serve_stream(int in_fd, int out_fd) {
   // Stop serving (after the grace ticks) once SIGTERM arrived or the core

@@ -34,9 +34,6 @@ struct ServerOptions {
   int out_fd = 1;
   /// Signal-handler stop flag (SIGTERM). Non-zero = begin drain.
   const volatile std::sig_atomic_t* stop = nullptr;
-  /// Metrics sink for the transport counters (service/frames_*); nullptr =
-  /// the process-global registry. Use the same sink as the ServiceCore.
-  obs::Registry* metrics = nullptr;
 };
 
 class Server {

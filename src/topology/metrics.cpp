@@ -7,6 +7,27 @@
 
 namespace dfsssp {
 
+void bfs_hops_to(const Network& net, NodeId dst_switch,
+                 std::vector<std::uint32_t>& dist) {
+  dist.assign(net.num_switches(), kUnreachable);
+  std::queue<NodeId> q;
+  dist[net.node(dst_switch).type_index] = 0;
+  q.push(dst_switch);
+  while (!q.empty()) {
+    NodeId u = q.front();
+    q.pop();
+    const std::uint32_t du = dist[net.node(u).type_index];
+    for (ChannelId c : net.out_switch_channels(u)) {
+      NodeId v = net.channel(c).dst;
+      std::uint32_t& dv = dist[net.node(v).type_index];
+      if (dv == kUnreachable) {
+        dv = du + 1;
+        q.push(v);
+      }
+    }
+  }
+}
+
 NetworkMetrics compute_metrics(const Network& net) {
   NetworkMetrics m;
   const std::size_t num_sw = net.num_switches();
@@ -29,32 +50,14 @@ NetworkMetrics compute_metrics(const Network& net) {
 
   // BFS from every switch.
   std::uint64_t dist_sum = 0, pairs = 0;
-  std::vector<std::uint32_t> dist(num_sw);
+  std::vector<std::uint32_t> dist;
   for (NodeId src : net.switches()) {
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<std::uint32_t>::max());
-    std::queue<NodeId> q;
-    dist[net.node(src).type_index] = 0;
-    q.push(src);
-    while (!q.empty()) {
-      NodeId u = q.front();
-      q.pop();
-      const std::uint32_t du = dist[net.node(u).type_index];
-      for (ChannelId c : net.out_switch_channels(u)) {
-        std::uint32_t& dv = dist[net.node(net.channel(c).dst).type_index];
-        if (dv == std::numeric_limits<std::uint32_t>::max()) {
-          dv = du + 1;
-          q.push(net.channel(c).dst);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < num_sw; ++i) {
-      if (dist[i] == std::numeric_limits<std::uint32_t>::max()) continue;
-      if (dist[i] > 0) {
-        dist_sum += dist[i];
-        ++pairs;
-        m.diameter = std::max(m.diameter, dist[i]);
-      }
+    bfs_hops_to(net, src, dist);
+    for (const std::uint32_t d : dist) {
+      if (d == kUnreachable || d == 0) continue;
+      dist_sum += d;
+      ++pairs;
+      m.diameter = std::max(m.diameter, d);
     }
   }
   m.avg_path_length =

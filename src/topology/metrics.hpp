@@ -5,11 +5,21 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "topology/network.hpp"
 
 namespace dfsssp {
+
+/// bfs_hops_to's distance of a switch it cannot reach.
+inline constexpr std::uint32_t kUnreachable = 0xFFFFFFFFu;
+
+/// Hop distance from every switch to `dst_switch` over the switch graph
+/// (links are bidirectional, so one forward BFS suffices). `dist` is indexed
+/// by switch type_index.
+void bfs_hops_to(const Network& net, NodeId dst_switch,
+                 std::vector<std::uint32_t>& dist);
 
 struct NetworkMetrics {
   /// Longest shortest switch-to-switch path (hops).

@@ -294,29 +294,22 @@ TEST(IncrementalDfsssp, RouteMatchesDfssspOnlineNextHops) {
   }
 }
 
-// Every engine on the SSSP kernel flushes its counters into the request's
-// sink, and the incremental engine counts its Dijkstra too: one pop per
-// (destination, switch) on Deimos, none of them in the global registry.
-TEST(IncrementalDfsssp, SsspCountersGoToTheRequestSink) {
+// Every engine on the SSSP kernel tallies its Dijkstra work, and the
+// incremental engine counts its Dijkstra too: one pop per (destination,
+// switch) on Deimos.
+TEST(IncrementalDfsssp, SsspCountersTallyEveryPop) {
   const Topology topo = make_deimos();
-  const auto global_pops = [] {
-    const obs::Snapshot snap = obs::registry().snapshot();
-    const auto it = snap.find("sssp/heap_pops");
-    return it == snap.end() ? 0 : it->second.value;
-  };
   const std::uint64_t pops =
       topo.net.num_terminals() * topo.net.num_switches();
   EXPECT_EQ(pops, 65160u);
   const auto route = [&](auto&& engine) {
-    obs::Registry sink;
-    RouteRequest request(topo);
-    request.metrics = &sink;
-    const std::uint64_t global_before = global_pops();
-    ASSERT_TRUE(engine.route(request).ok);
-    EXPECT_EQ(sink.snapshot().at("sssp/heap_pops").value, pops);
-    EXPECT_EQ(sink.snapshot().at("sssp/dijkstra_passes").value,
+    const obs::Snapshot before = obs::registry().snapshot();
+    ASSERT_TRUE(engine.route(RouteRequest(topo)).ok);
+    const obs::Snapshot delta =
+        obs::snapshot_delta(obs::registry().snapshot(), before);
+    EXPECT_EQ(delta.at("sssp/heap_pops").value, pops);
+    EXPECT_EQ(delta.at("sssp/dijkstra_passes").value,
               topo.net.num_terminals());
-    EXPECT_EQ(global_pops(), global_before);
   };
   route(SsspRouter());
   route(DfssspRouter(DfssspOptions{.mode = LayeringMode::kOnline}));
@@ -339,9 +332,12 @@ TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
     SCOPED_TRACE(c.topo.name);
     Topology& topo = c.topo;
     Network& net = topo.net;
-    obs::Registry sink;
     RouteRequest request(topo);
-    request.metrics = &sink;
+    // Counters read this case's delta; gauges keep their latest reading.
+    const obs::Snapshot before = obs::registry().snapshot();
+    const auto metrics = [&] {
+      return obs::snapshot_delta(obs::registry().snapshot(), before);
+    };
 
     IncrementalDfsssp inc;
     RouteResponse base = inc.route(request);
@@ -351,7 +347,7 @@ TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
       const std::uint64_t expected =
           alive_terminals(net) * (alive_sw - 1);
       EXPECT_EQ(out.stats.paths, expected);
-      const obs::Snapshot snap = sink.snapshot();
+      const obs::Snapshot snap = metrics();
       EXPECT_EQ(snap.at("fault/active_paths").value, expected);
       EXPECT_EQ(snap.at("fault/dead_channels").value, net.num_dead_channels());
       EXPECT_EQ(snap.at("fault/layers_used").value, out.stats.layers_used);
@@ -368,7 +364,7 @@ TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
     // search work, not the CDGs' running totals: a repair re-routes a few
     // destinations and so searches less than the full route did.
     const auto counter = [&](const char* name) {
-      return sink.snapshot().at(name).value;
+      return metrics().at(name).value;
     };
     std::uint64_t visits = counter("cdg/pk_search_visits");
     std::uint64_t rejects = counter("cdg/pk_cycle_rejects");
@@ -410,7 +406,7 @@ TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
     RouteResponse repaired = inc.repair(request, delta);
     ASSERT_TRUE(repaired.ok) << repaired.error;
     expect_consistent(repaired);
-    EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 1u);
+    EXPECT_EQ(metrics().at("fault/repairs").value, 1u);
     ASSERT_TRUE(repaired.repair.incremental);
     expect_own_search_work();
 
@@ -422,10 +418,10 @@ TEST(IncrementalDfsssp, StatsAndMetricsStayConsistentUnderMutation) {
     RouteResponse again = inc.repair(request, link_delta);
     ASSERT_TRUE(again.ok) << again.error;
     expect_consistent(again);
-    EXPECT_EQ(sink.snapshot().at("fault/repairs").value, 2u);
+    EXPECT_EQ(metrics().at("fault/repairs").value, 2u);
     ASSERT_TRUE(again.repair.incremental);
     expect_own_search_work();
-    EXPECT_GT(sink.snapshot().at("fault/destinations_rerouted").value, 0u);
+    EXPECT_GT(metrics().at("fault/destinations_rerouted").value, 0u);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace dfsssp {
@@ -62,6 +64,31 @@ TEST(Cli, GetCountReadsWholeNumbersInRange) {
   EXPECT_EQ(make({}).get_count("events", 40), 40u);
   EXPECT_EQ(make({"--n=4294967295"}).get_count("n", 1), 4294967295u);
   EXPECT_EQ(make({"--max-layers=16"}).get_count("max-layers", 8, 16), 16u);
+}
+
+// A lower bound of 0 admits 0 where it means something (dfroutectl: the
+// daemon's layer budget, the server's tail cap, the journal's first
+// record), and the range may span the whole u64.
+TEST(Cli, GetCountTakesALowerBound) {
+  EXPECT_EQ(make({"--max-layers=0"}).get_count("max-layers", 8, 16, 0), 0u);
+  EXPECT_EQ(make({"--max-layers=16"}).get_count("max-layers", 0, 16, 0), 16u);
+  EXPECT_EQ(make({"--max=0"}).get_count("max", 5, 4294967295u, 0), 0u);
+  const std::uint64_t u64_max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(make({"--from=18446744073709551615"})
+                .get_count("from", 0, u64_max, 0),
+            u64_max);
+  for (const char* text : {"17", "256", "300", "-1"}) {
+    const std::string arg = std::string("--max-layers=") + text;
+    EXPECT_EXIT(make({arg.c_str()}).get_count("max-layers", 0, 16, 0),
+                testing::ExitedWithCode(2),
+                "--max-layers=.*: expected a whole number from 0 to 16")
+        << text;
+  }
+  EXPECT_EXIT(make({"--from=18446744073709551616"})
+                  .get_count("from", 0, u64_max, 0),
+              testing::ExitedWithCode(2),
+              "--from=.*: expected a whole number from 0 to "
+              "18446744073709551615");
 }
 
 // Anything but a whole number in [1, max] exits 2 naming the flag: zero

@@ -100,16 +100,15 @@ TEST(Dfsssp, OnlineWithRejectCacheMatchesNaiveLayers) {
         DfssspRouter(DfssspOptions{.balance = false,
                                    .mode = LayeringMode::kOnlineNaive})
             .route(RouteRequest(topo));
-    obs::Registry sink;
-    RouteRequest request(topo);
-    request.metrics = &sink;
+    const obs::Snapshot before = obs::registry().snapshot();
     RouteResponse pk = DfssspRouter(DfssspOptions{
                            .balance = false, .mode = LayeringMode::kOnline})
-                           .route(request);
+                           .route(RouteRequest(topo));
+    const obs::Snapshot delta =
+        obs::snapshot_delta(obs::registry().snapshot(), before);
     ASSERT_TRUE(naive.ok) << topo.name << ": " << naive.error;
     ASSERT_TRUE(pk.ok) << topo.name << ": " << pk.error;
-    EXPECT_GT(sink.snapshot().at("cdg/pk_cache_rejects").value, 0u)
-        << topo.name;
+    EXPECT_GT(delta.at("cdg/pk_cache_rejects").value, 0u) << topo.name;
     EXPECT_EQ(naive.stats.layers_used, pk.stats.layers_used) << topo.name;
     for (NodeId s : topo.net.switches()) {
       for (NodeId t : topo.net.terminals()) {

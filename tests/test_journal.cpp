@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/journal/journal.hpp"
-#include "obs/metrics.hpp"
 
 namespace dfsssp::obs::journal {
 namespace {
@@ -98,10 +97,8 @@ TEST(JournalRecord, DescribeNamesEveryKind) {
 }
 
 TEST(Journal, RingOverwritesOldestAndCountsDrops) {
-  Registry reg;
   Journal::Options opts;
   opts.capacity = 4;
-  opts.metrics = &reg;
   Journal journal(opts);
 
   for (std::uint64_t i = 1; i <= 10; ++i) {
@@ -135,10 +132,8 @@ TEST(Journal, RingOverwritesOldestAndCountsDrops) {
 }
 
 TEST(Journal, TailHonorsMaxAndKindFilter) {
-  Registry reg;
   Journal::Options opts;
   opts.capacity = 64;
-  opts.metrics = &reg;
   Journal journal(opts);
 
   // Alternate route / snapshot_swap records.
@@ -181,15 +176,13 @@ struct TempPath {
 };
 
 /// Writes a small segment through the Journal sink and returns its stats.
-JournalStats write_segment(const std::string& path, std::uint64_t records,
-                           Registry& reg) {
+JournalStats write_segment(const std::string& path, std::uint64_t records) {
   Journal::Options opts;
   opts.capacity = 16;
   opts.path = path;
   opts.topo_config = "kary-tree:4:2";
   opts.engine = "dfsssp";
   opts.max_layers = 8;
-  opts.metrics = &reg;
   Journal journal(opts);
   EXPECT_TRUE(journal.sink_ok()) << journal.error();
   for (std::uint64_t i = 1; i <= records; ++i) {
@@ -200,8 +193,7 @@ JournalStats write_segment(const std::string& path, std::uint64_t records,
 
 TEST(JournalFileFormat, SegmentRoundTripsHeaderAndRecords) {
   TempPath tmp("roundtrip");
-  Registry reg;
-  const JournalStats stats = write_segment(tmp.path, 9, reg);
+  const JournalStats stats = write_segment(tmp.path, 9);
   EXPECT_TRUE(stats.sink_open);
   EXPECT_FALSE(stats.sink_failed);
   EXPECT_GT(stats.disk_bytes, 9u * kRecordBytes);
@@ -222,8 +214,7 @@ TEST(JournalFileFormat, SegmentRoundTripsHeaderAndRecords) {
   // The ring only kept 16 slots but the segment is append-only: write more
   // than capacity and every record is still on disk.
   TempPath big("overflow");
-  Registry reg2;
-  write_segment(big.path, 40, reg2);
+  write_segment(big.path, 40);
   JournalFile all;
   ASSERT_TRUE(read_journal(big.path, all, error)) << error;
   EXPECT_EQ(all.records.size(), 40u);
@@ -231,8 +222,7 @@ TEST(JournalFileFormat, SegmentRoundTripsHeaderAndRecords) {
 
 TEST(JournalFileFormat, FlippedByteIsACrcHardError) {
   TempPath tmp("corrupt");
-  Registry reg;
-  write_segment(tmp.path, 5, reg);
+  write_segment(tmp.path, 5);
 
   // Flip one byte in the middle of the record region.
   std::fstream f(tmp.path,
@@ -257,8 +247,7 @@ TEST(JournalFileFormat, FlippedByteIsACrcHardError) {
 
 TEST(JournalFileFormat, TruncatedTailKeepsThePrefix) {
   TempPath tmp("truncated");
-  Registry reg;
-  const JournalStats stats = write_segment(tmp.path, 5, reg);
+  const JournalStats stats = write_segment(tmp.path, 5);
 
   // Cut the file mid-way through the final frame — a crash during the
   // last append. The four complete records must survive.

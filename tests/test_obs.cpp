@@ -194,9 +194,11 @@ TEST(ObsRegistry, GaugeHoldsLastValue) {
   EXPECT_EQ(g.value(), 3u);
 }
 
+// A private registry, so the readings hold however often the test runs in
+// one process.
 TEST(ObsRegistry, HistogramBucketEdges) {
-  obs::Histogram& h =
-      obs::registry().histogram("test/hist_edges", {10, 20, 40});
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("test/hist_edges", {10, 20, 40});
   for (std::uint64_t v : {0ull, 10ull, 11ull, 20ull, 21ull, 40ull, 41ull,
                           1000ull}) {
     h.record(v);
@@ -275,10 +277,11 @@ TEST(ObsRegistry, SnapshotDeltaSubtractsCountersKeepsGauges) {
 }
 
 TEST(ObsRegistry, MetricsJsonIsValid) {
-  obs::registry().counter("test/json_counter").add(2);
-  obs::registry().histogram("test/json_hist", {1, 2, 3}).record(2);
-  obs::registry().timing_histogram("test/json_timing").record(1234);
-  const obs::Snapshot snap = obs::registry().snapshot();
+  obs::Registry reg;
+  reg.counter("test/json_counter").add(2);
+  reg.histogram("test/json_hist", {1, 2, 3}).record(2);
+  reg.timing_histogram("test/json_timing").record(1234);
+  const obs::Snapshot snap = reg.snapshot();
   const std::string det = metrics_json(snap, obs::Kind::kDeterministic);
   const std::string timing = metrics_json(snap, obs::Kind::kTiming);
   EXPECT_TRUE(json_valid(det)) << det;

@@ -229,13 +229,10 @@ void expect_tables_identical(const Network& net, const RoutingTable& a,
 }
 
 TEST(ServiceCore, TablesBitwiseIdenticalToInProcessEngine) {
-  obs::Registry reg;
   Topology served = make_kary_ntree(4, 2);
   const Topology reference_topo = served;  // identical twin for the engine
 
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(std::move(served), options);
+  ServiceCore core(std::move(served));
 
   ServiceRequest route;
   route.kind = MsgKind::kRoute;
@@ -255,13 +252,10 @@ TEST(ServiceCore, TablesBitwiseIdenticalToInProcessEngine) {
 }
 
 TEST(ServiceCore, BatchedRepairMatchesInProcessChurn) {
-  obs::Registry reg;
   Topology served = make_kary_ntree(4, 2);
   Topology mirror = served;
 
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(std::move(served), options);
+  ServiceCore core(std::move(served));
   ASSERT_EQ(core.handle([] {
                   ServiceRequest r;
                   r.kind = MsgKind::kRoute;
@@ -304,10 +298,7 @@ TEST(ServiceCore, BatchedRepairMatchesInProcessChurn) {
 // leave nothing half-built for the next repair to publish, even when the
 // repair's batch is a link flap that coalesces to no effect.
 TEST(ServiceCore, RepairAfterFailedRoutePublishesACertifiedTable) {
-  obs::Registry reg;
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(make_deimos(), options);
+  ServiceCore core(make_deimos());
   const Network& net = core.topo().net;
   ServiceRequest route;
   route.kind = MsgKind::kRoute;
@@ -339,10 +330,7 @@ TEST(ServiceCore, RepairAfterFailedRoutePublishesACertifiedTable) {
 }
 
 TEST(ServiceCore, LookupBeforeRouteAndBadIdsAreStructuredErrors) {
-  obs::Registry reg;
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(make_kary_ntree(4, 2), options);
+  ServiceCore core(make_kary_ntree(4, 2));
 
   EXPECT_EQ(core.handle(make_lookup(0, 1)).status, Status::kErrNotRouted);
   ServiceRequest repair;
@@ -378,12 +366,10 @@ TEST(ServiceCore, LookupBeforeRouteAndBadIdsAreStructuredErrors) {
 
 // service/errors counts every non-ok reply; service/errors/<status> splits
 // it, so a client probing node types (bad_argument) stays apart from the
-// failures an operator must see. Statuses that never occurred have no key.
+// failures an operator must see. A status that never occurs has no key.
 TEST(ServiceCore, ErrorsAreCountedPerStatus) {
-  obs::Registry reg;
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(make_kary_ntree(4, 2), options);
+  const obs::Snapshot before = obs::registry().snapshot();
+  ServiceCore core(make_kary_ntree(4, 2));
 
   EXPECT_EQ(core.handle(make_lookup(0, 1)).status, Status::kErrNotRouted);
   ServiceRequest route;
@@ -402,23 +388,24 @@ TEST(ServiceCore, ErrorsAreCountedPerStatus) {
   EXPECT_EQ(core.handle(make_lookup(a_switch, a_terminal)).status,
             Status::kErrDraining);
 
-  const obs::Snapshot snap = reg.snapshot();
+  const obs::Snapshot after = obs::registry().snapshot();
+  const obs::Snapshot snap = obs::snapshot_delta(after, before);
   EXPECT_EQ(snap.at("service/errors").value, 5u);
   EXPECT_EQ(snap.at("service/errors/not_routed").value, 1u);
   EXPECT_EQ(snap.at("service/errors/bad_argument").value, 3u);
   EXPECT_EQ(snap.at("service/errors/draining").value, 1u);
-  EXPECT_EQ(snap.count("service/errors/ok"), 0u);
-  EXPECT_EQ(snap.count("service/errors/route_failed"), 0u);
+  // No reply is ever counted as an ok error, in any test of the process.
+  EXPECT_EQ(after.count("service/errors/ok"), 0u);
+  // Another test in the process may fail a route; this one fails none.
+  const auto failed = snap.find("service/errors/route_failed");
+  EXPECT_TRUE(failed == snap.end() || failed->second.value == 0u);
 }
 
 TEST(ServiceCore, LookupDuringRepairSeesOldOrNewSnapshotNeverTorn) {
-  obs::Registry reg;
   Topology served = make_kary_ntree(4, 2);
   Topology mirror = served;
 
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(std::move(served), options);
+  ServiceCore core(std::move(served));
   ServiceRequest route;
   route.kind = MsgKind::kRoute;
   ASSERT_EQ(core.handle(route).status, Status::kOk);
@@ -499,16 +486,13 @@ TEST(ServiceCore, LookupDuringRepairSeesOldOrNewSnapshotNeverTorn) {
 
 /// Client half of a socketpair conversation with a Server::run_pipe loop.
 struct PipeHarness {
-  obs::Registry reg;
   std::unique_ptr<ServiceCore> core;
   std::thread server_thread;
   int client_fd = -1;
   int exit_code = -1;
 
   explicit PipeHarness(Topology topo) {
-    ServiceCoreOptions options;
-    options.metrics = &reg;
-    core = std::make_unique<ServiceCore>(std::move(topo), options);
+    core = std::make_unique<ServiceCore>(std::move(topo));
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     client_fd = fds[1];
@@ -517,7 +501,6 @@ struct PipeHarness {
       ServerOptions so;
       so.in_fd = server_fd;
       so.out_fd = server_fd;
-      so.metrics = &reg;
       Server server(*core, so);
       exit_code = server.run_pipe();
       ::close(server_fd);
@@ -710,9 +693,7 @@ void drive_mutations(ServiceCore& core) {
 }
 
 TEST(ServiceJournal, MutationsFlowThroughTheRecorder) {
-  obs::Registry reg;
   ServiceCoreOptions options;
-  options.metrics = &reg;
   options.journal = true;
   options.journal_config = "kary-tree:4:2";
   ServiceCore core(make_kary_ntree(4, 2), options);
@@ -755,13 +736,24 @@ TEST(ServiceJournal, MutationsFlowThroughTheRecorder) {
   EXPECT_EQ(swaps.journal_records[1].version_after, 2u);
   EXPECT_NE(swaps.journal_records[0].table_digest,
             swaps.journal_records[1].table_digest);
+
+  // stats holds everything the core counted: its own requests, the
+  // engine's Dijkstra and gauges, and the certificate walks behind the
+  // recorder's digests.
+  ServiceRequest stats_req;
+  stats_req.kind = MsgKind::kStats;
+  const ServiceResponse metrics = core.handle(stats_req);
+  ASSERT_EQ(metrics.status, Status::kOk);
+  for (const char* key : {"service/requests", "sssp/heap_pops",
+                          "fault/active_paths", "certificate/walk_hops"}) {
+    EXPECT_NE(metrics.stats_json.find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << key;
+  }
 }
 
 TEST(ServiceJournal, DisabledJournalIsAStructuredError) {
-  obs::Registry reg;
-  ServiceCoreOptions options;
-  options.metrics = &reg;
-  ServiceCore core(make_kary_ntree(4, 2), options);
+  ServiceCore core(make_kary_ntree(4, 2));
   EXPECT_EQ(core.journal(), nullptr);
 
   ServiceRequest jtail;
@@ -778,9 +770,7 @@ TEST(ServiceJournal, ReplayReproducesTheJournalBitExactly) {
   std::remove(path.c_str());
 
   {
-    obs::Registry reg;
     ServiceCoreOptions options;
-    options.metrics = &reg;
     options.journal = true;
     options.journal_path = path;
     options.journal_config = "kary-tree:4:2";
@@ -799,6 +789,7 @@ TEST(ServiceJournal, ReplayReproducesTheJournalBitExactly) {
   // A fresh core replays the recorded mutations and must emit the very
   // same records — digests, versions, layer counts, seq numbering.
   const auto target = make_inprocess_target(file);
+  const obs::Snapshot before = obs::registry().snapshot();
   const ReplayResult result = replay_journal(file, *target, true);
   EXPECT_TRUE(result.error.empty()) << result.error;
   for (const ReplayMismatch& m : result.mismatches) {
@@ -808,6 +799,11 @@ TEST(ServiceJournal, ReplayReproducesTheJournalBitExactly) {
   EXPECT_EQ(result.transactions, 8u);  // route + 6 faults + repair
   EXPECT_EQ(result.records_checked, file.records.size());
   EXPECT_EQ(result.generations, 2u);
+  // The replaying core counts into the process registry like any other
+  // core: one request per replayed transaction.
+  const obs::Snapshot delta =
+      obs::snapshot_delta(obs::registry().snapshot(), before);
+  EXPECT_EQ(delta.at("service/requests").value, result.transactions);
   std::remove(path.c_str());
 }
 
@@ -816,9 +812,7 @@ TEST(ServiceJournal, ReplayDetectsTamperedRecords) {
       std::string(::testing::TempDir()) + "service_tampered.dfjr";
   std::remove(path.c_str());
   {
-    obs::Registry reg;
     ServiceCoreOptions options;
-    options.metrics = &reg;
     options.journal = true;
     options.journal_path = path;
     options.journal_config = "kary-tree:4:2";

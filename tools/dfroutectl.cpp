@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "common/cli.hpp"
@@ -38,6 +39,7 @@ int usage(const char* prog) {
       "usage: %s --socket=<path> <command> [flags]\n"
       "commands:\n"
       "  route     [--max-layers=N]   recompute forwarding from scratch\n"
+      "                               (N <= 16; 0 = the daemon's budget)\n"
       "  repair                       coalesce pending faults and repair\n"
       "  fault     --kind=link_down|link_up|switch_down|switch_up\n"
       "            [--channel=C] [--switch=S]\n"
@@ -198,8 +200,9 @@ int run_tail(int fd, const Cli& cli) {
   ServiceRequest req;
   req.kind = MsgKind::kJournalTail;
   req.journal_from_seq =
-      static_cast<std::uint64_t>(cli.get_int("from", 0));
-  req.journal_max = static_cast<std::uint32_t>(cli.get_int("max", 0));
+      cli.get_count("from", 0, std::numeric_limits<std::uint64_t>::max(), 0);
+  req.journal_max = static_cast<std::uint32_t>(
+      cli.get_count("max", 0, std::numeric_limits<std::uint32_t>::max(), 0));
   req.journal_kind = kind_filter;
   for (;;) {
     ServiceResponse resp;
@@ -301,7 +304,7 @@ void render_stats(const std::string& json) {
 int run_lookup_loop(int fd, const Cli& cli) {
   const std::uint64_t count = cli.get_count("count", 1000);
   const auto stride =
-      static_cast<std::uint32_t>(cli.get_int("src-stride", 7));
+      static_cast<std::uint32_t>(cli.get_count("src-stride", 7));
 
   ServiceRequest info_req;
   info_req.kind = MsgKind::kSnapshotInfo;
@@ -374,7 +377,9 @@ int main(int argc, char** argv) {
   int rc = 2;
   if (cmd == "route") {
     req.kind = MsgKind::kRoute;
-    req.max_layers = static_cast<Layer>(cli.get_int("max-layers", 0));
+    // 0 asks for the daemon's budget.
+    req.max_layers =
+        static_cast<Layer>(cli.get_count("max-layers", 0, kMaxLayers, 0));
   } else if (cmd == "repair") {
     req.kind = MsgKind::kRepair;
   } else if (cmd == "fault") {
