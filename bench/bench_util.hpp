@@ -146,25 +146,7 @@ struct BenchConfig {
     report.config.set("seeds", obs::JsonValue::integer(seeds));
     report.config.set("threads", obs::JsonValue::integer(threads));
     report.wall_seconds = wall_.seconds();
-    for (const Table& t : emitted_) {
-      obs::JsonValue table = obs::JsonValue::object();
-      table.set("title", obs::JsonValue::string(t.title()));
-      obs::JsonValue columns = obs::JsonValue::array();
-      for (const std::string& c : t.columns()) {
-        columns.push_back(obs::JsonValue::string(c));
-      }
-      table.set("columns", std::move(columns));
-      obs::JsonValue rows = obs::JsonValue::array();
-      for (const auto& r : t.rows()) {
-        obs::JsonValue row = obs::JsonValue::array();
-        for (const std::string& cell : r) {
-          row.push_back(obs::JsonValue::string(cell));
-        }
-        rows.push_back(std::move(row));
-      }
-      table.set("rows", std::move(rows));
-      report.tables.push_back(std::move(table));
-    }
+    for (const Table& t : emitted_) report.tables.push_back(t.to_json());
     // Peak RSS at report time, as a timing-kind gauge (machine-dependent,
     // never exact-diffed) — recorded for every bench, not just warehouse.
     obs::registry()

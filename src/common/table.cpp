@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
-
-#include "common/json.hpp"
 
 namespace dfsssp {
 
@@ -83,32 +80,23 @@ void Table::write_csv(const std::string& path) const {
   }
 }
 
-void Table::write_json(std::ostream& out, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  out << "{\n" << pad << "  \"title\": " << json_quote(title_) << ",\n";
-  out << pad << "  \"columns\": [";
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    out << (c ? ", " : "") << json_quote(columns_[c]);
-  }
-  out << "],\n" << pad << "  \"rows\": [";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out << (r ? ",\n" : "\n") << pad << "    [";
+obs::JsonValue Table::to_json() const {
+  using obs::JsonValue;
+  JsonValue columns = JsonValue::array();
+  for (const std::string& c : columns_) columns.push_back(JsonValue::string(c));
+  JsonValue rows = JsonValue::array();
+  for (const auto& r : rows_) {
+    JsonValue row = JsonValue::array();
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      // Short rows pad with empty cells, mirroring print()/write_csv.
-      out << (c ? ", " : "")
-          << json_quote(c < rows_[r].size() ? rows_[r][c] : std::string());
+      row.push_back(JsonValue::string(c < r.size() ? r[c] : std::string()));
     }
-    out << "]";
+    rows.push_back(std::move(row));
   }
-  if (!rows_.empty()) out << "\n" << pad << "  ";
-  out << "]\n" << pad << "}";
-}
-
-void Table::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open JSON output: " + path);
-  write_json(out);
-  out << "\n";
+  JsonValue out = JsonValue::object();
+  out.set("title", JsonValue::string(title_));
+  out.set("columns", std::move(columns));
+  out.set("rows", std::move(rows));
+  return out;
 }
 
 }  // namespace dfsssp

@@ -7,10 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <type_traits>
 #include <string>
 #include <vector>
+
+#include "obs/report/json_value.hpp"
 
 namespace dfsssp {
 
@@ -37,12 +38,11 @@ class Table {
   /// Writes the table as CSV (header + rows) to `path`.
   void write_csv(const std::string& path) const;
 
-  /// Writes the table as a JSON object {"title", "columns", "rows"} —
+  /// The table as a JSON object {"title", "columns", "rows"} of strings —
   /// the form embedded in the bench `--json` run reports, so tables
-  /// round-trip without re-parsing CSV. `indent` spaces prefix every line;
-  /// output ends without a trailing newline.
-  void write_json(std::ostream& out, int indent = 0) const;
-  void write_json(const std::string& path) const;
+  /// round-trip without re-parsing CSV. Short rows pad with empty cells,
+  /// mirroring print()/write_csv.
+  obs::JsonValue to_json() const;
 
   std::size_t num_rows() const { return rows_.size(); }
   const std::string& title() const { return title_; }

@@ -1,13 +1,15 @@
 // Deterministic fault-event streams.
 //
 // A FaultSchedule is a pre-generated, seed-reproducible sequence of link and
-// switch down/up events against one frozen Network. Generation simulates the
-// fabric's alive state so that (with the default options) no down event ever
-// disconnects the alive switches — the schedule models the churn a subnet
-// manager survives, not a partition it cannot route across. The schedule is
-// pure data: applying it to a Network is ChurnEngine's job (churn.hpp), so
-// one schedule can drive the incremental and the from-scratch engine over
-// identical fault histories.
+// switch down/up events against one frozen Network. Generation draws each
+// event against a copy of the network's own fault state (set_link_up,
+// set_switch_up, alive_connected: the calls ChurnEngine vetoes with), so
+// that (with the default options) no down event ever disconnects the alive
+// switches — the schedule models the churn a subnet manager survives, not a
+// partition it cannot route across. The schedule is pure data: applying it
+// to a Network is ChurnEngine's job (churn.hpp), so one schedule can drive
+// the incremental and the from-scratch engine over identical fault
+// histories.
 #pragma once
 
 #include <cstdint>

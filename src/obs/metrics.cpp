@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
-#include "common/json.hpp"
 #include "obs/profile/profile.hpp"
 
 namespace dfsssp::obs {
@@ -220,42 +218,6 @@ Snapshot snapshot_delta(const Snapshot& after, const Snapshot& before) {
     }
   }
   return delta;
-}
-
-namespace {
-
-void write_histogram_json(std::ostream& out, const HistogramValue& h) {
-  out << "{\"edges\": [";
-  for (std::size_t i = 0; i < h.edges.size(); ++i) {
-    out << (i ? ", " : "") << h.edges[i];
-  }
-  out << "], \"counts\": [";
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    out << (i ? ", " : "") << h.counts[i];
-  }
-  out << "], \"count\": " << h.count << ", \"sum\": " << h.sum
-      << ", \"max\": " << h.max << "}";
-}
-
-}  // namespace
-
-void write_metrics_json(std::ostream& out, const Snapshot& snap, Kind kind,
-                        int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  out << "{";
-  bool first = true;
-  for (const auto& [name, v] : snap) {
-    if (v.kind != kind) continue;
-    out << (first ? "\n" : ",\n") << pad << "  " << json_quote(name) << ": ";
-    if (v.type == MetricValue::Type::kHistogram) {
-      write_histogram_json(out, v.hist);
-    } else {
-      out << v.value;
-    }
-    first = false;
-  }
-  if (!first) out << "\n" << pad;
-  out << "}";
 }
 
 }  // namespace dfsssp::obs

@@ -31,7 +31,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -206,13 +205,5 @@ Registry& registry();
 /// `max` keep the `after` reading (they are not accumulative). Metrics
 /// absent from `before` pass through unchanged.
 Snapshot snapshot_delta(const Snapshot& after, const Snapshot& before);
-
-/// Writes the metrics of one kind as a JSON object:
-///   {"cdg/cycles_found": 12,
-///    "sim/max_congestion": {"edges": [...], "counts": [...],
-///                           "count": 9, "sum": 31, "max": 7}}
-/// `indent` spaces prefix every line; output ends without a newline.
-void write_metrics_json(std::ostream& out, const Snapshot& snap, Kind kind,
-                        int indent = 0);
 
 }  // namespace dfsssp::obs

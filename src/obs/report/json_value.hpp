@@ -1,7 +1,10 @@
-// Minimal JSON document model with a recursive-descent parser and a
-// writer, used by the run-report library (obs/report) to read back the
-// documents the repo's hand-rolled emitters produce (bench --json reports,
-// dfcheck reports, google-benchmark output).
+// JSON document model: the one writer of every JSON document the library,
+// tools and benches emit (bench and dfcheck run reports, bench tables,
+// `dfcheck --json`, the daemon's `stats` reply) and the recursive-descent
+// reader of those documents and of google-benchmark output. JSON syntax is
+// written here and nowhere else; the one exception is the Chrome trace
+// exporter (obs/trace.cpp), which streams its events through json_quote
+// because a trace can hold millions of spans.
 //
 // Deliberately small: no SAX interface, no allocator tuning, no NaN/Inf
 // extensions. Integers that fit int64 are kept exactly (metric counters go
@@ -18,6 +21,10 @@
 #include <vector>
 
 namespace dfsssp::obs {
+
+/// Returns `s` as a double-quoted JSON string literal with all mandatory
+/// escapes applied (quote, backslash, control characters).
+std::string json_quote(std::string_view s);
 
 class JsonValue {
  public:

@@ -106,9 +106,10 @@ void derive_timing_stats(RunReport& report);
 /// clock. timing_metrics keeps repetition 0's raw histograms.
 RunReport aggregate_runs(const std::vector<RunReport>& reps);
 
-/// The obs registry metrics of one kind as a JSON object, in the exact
-/// shape write_metrics_json() emits ({"name": count, "hist": {edges,
-/// counts, count, sum, max}}).
+/// The obs registry metrics of one kind as a JSON object in name order:
+/// {"name": count, "hist": {edges, counts, count, sum, max}}. The `metrics`
+/// and `timing_metrics` sections of run reports and of the daemon's
+/// `stats` reply.
 JsonValue metrics_to_json(const Snapshot& snap, Kind kind);
 
 /// The deterministic columns of a collected profile as the schema-3

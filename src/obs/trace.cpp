@@ -11,8 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/timer.hpp"
+#include "obs/report/json_value.hpp"
 
 namespace dfsssp::obs {
 
@@ -62,6 +62,8 @@ ThreadBuf& local_buf() {
   return *buf;
 }
 
+// The one JSON document not built as a JsonValue: a trace can hold
+// millions of spans, so the events stream straight to the file.
 void write_chrome_trace(std::ostream& out, std::vector<Event> events) {
   std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;

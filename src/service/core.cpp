@@ -1,11 +1,11 @@
 #include "service/core.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/timer.hpp"
+#include "obs/report/report.hpp"
 #include "obs/rusage.hpp"
 #include "routing/registry.hpp"
 #include "service/digest.hpp"
@@ -365,51 +365,51 @@ ServiceResponse ServiceCore::do_lookup(const ServiceRequest& r) {
 }
 
 ServiceResponse ServiceCore::do_stats(const ServiceRequest& r) {
+  using obs::JsonValue;
+  const auto integer = [](std::uint64_t v) {
+    return JsonValue::integer(static_cast<std::int64_t>(v));
+  };
   const obs::Snapshot snap = obs::registry().snapshot();
-  std::ostringstream out;
-  out << "{\n  \"metrics\": ";
-  obs::write_metrics_json(out, snap, obs::Kind::kDeterministic, 2);
-  out << ",\n  \"timing_metrics\": ";
-  obs::write_metrics_json(out, snap, obs::Kind::kTiming, 2);
+  JsonValue doc = JsonValue::object();
+  doc.set("metrics", obs::metrics_to_json(snap, obs::Kind::kDeterministic));
+  doc.set("timing_metrics", obs::metrics_to_json(snap, obs::Kind::kTiming));
 
   // Latency quantiles per request kind, estimated from the service/*_ns
   // histograms (nanoseconds, nearest-rank with in-bucket interpolation) —
   // what an operator wants from `dfroutectl stats` without shipping the
   // raw buckets to a spreadsheet.
-  out << ",\n  \"latency\": {";
+  JsonValue latency = JsonValue::object();
   const struct {
     const char* name;
     const obs::Histogram* hist;
   } kinds[] = {{"lookup", &lookup_ns_},
                {"route", &route_ns_},
                {"repair", &repair_ns_}};
-  bool first = true;
   for (const auto& k : kinds) {
     const obs::HistogramValue h = k.hist->value();
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"" << k.name << "\": {\"count\": " << h.count
-        << ", \"p50_ns\": "
-        << static_cast<std::uint64_t>(
-               std::llround(obs::histogram_quantile(h, 0.50)))
-        << ", \"p90_ns\": "
-        << static_cast<std::uint64_t>(
-               std::llround(obs::histogram_quantile(h, 0.90)))
-        << ", \"p99_ns\": "
-        << static_cast<std::uint64_t>(
-               std::llround(obs::histogram_quantile(h, 0.99)))
-        << ", \"max_ns\": " << h.max << "}";
+    const auto quantile = [&](double q) {
+      return integer(static_cast<std::uint64_t>(
+          std::llround(obs::histogram_quantile(h, q))));
+    };
+    JsonValue entry = JsonValue::object();
+    entry.set("count", integer(h.count));
+    entry.set("p50_ns", quantile(0.50));
+    entry.set("p90_ns", quantile(0.90));
+    entry.set("p99_ns", quantile(0.99));
+    entry.set("max_ns", integer(h.max));
+    latency.set(k.name, std::move(entry));
   }
-  out << "\n  }";
+  doc.set("latency", std::move(latency));
 
-  out << ",\n  \"process\": {\"uptime_ns\": " << Timer::now_ns() - start_ns_
-      << ", \"peak_rss_bytes\": " << obs::peak_rss_bytes() << "}";
-  out << "\n}";
+  JsonValue process = JsonValue::object();
+  process.set("uptime_ns", integer(Timer::now_ns() - start_ns_));
+  process.set("peak_rss_bytes", integer(obs::peak_rss_bytes()));
+  doc.set("process", std::move(process));
 
   ServiceResponse resp;
   resp.kind = r.kind;
   resp.request_id = r.request_id;
-  resp.stats_json = out.str();
+  resp.stats_json = doc.dump();
   return resp;
 }
 

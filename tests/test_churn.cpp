@@ -75,6 +75,45 @@ TEST(FaultSchedule, DeterministicAndConnectivityPreserving) {
   EXPECT_GT(applied, 0u);
 }
 
+/// FNV-1a 64 over each event's (kind, channel, sw), little-endian.
+std::uint64_t stream_digest(const FaultSchedule& sched) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const FaultEvent& ev : sched) {
+    mix(static_cast<std::uint8_t>(ev.kind), 1);
+    mix(ev.channel, 4);
+    mix(ev.sw, 4);
+  }
+  return h;
+}
+
+// The perf workloads and the churn, churn_deimos and soak baselines replay
+// these streams, so a change to how schedules are drawn must keep every
+// seed's events. The values were read from the generator that kept its own
+// copy of the link and switch flags.
+TEST(FaultSchedule, StreamIsPinned) {
+  Topology deimos = make_deimos();
+  FaultScheduleOptions links;
+  links.num_events = 200;
+  links.switch_down_weight = 0;
+  links.switch_up_weight = 0;
+  const FaultSchedule a = FaultSchedule::random(deimos.net, links, 0xFA17);
+  EXPECT_EQ(a.size(), 200u);
+  EXPECT_EQ(stream_digest(a), 0x74D98DC5B74BDFB6ULL);
+
+  Topology tree = make_kary_ntree(4, 2);
+  FaultScheduleOptions all;
+  all.num_events = 200;
+  const FaultSchedule b = FaultSchedule::random(tree.net, all, 7);
+  EXPECT_EQ(b.size(), 159u);
+  EXPECT_EQ(stream_digest(b), 0x8BE6A2970FBF4A55ULL);
+}
+
 TEST(ChurnEngine, VetoesDisconnectingKill) {
   // A 3-switch line: the middle links are bridges.
   Topology topo;

@@ -5,9 +5,8 @@
 #include <functional>
 #include <memory>
 
-#include <sstream>
-
 #include "obs/metrics.hpp"
+#include "obs/report/report.hpp"
 #include "routing/collect.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/lash.hpp"
@@ -126,11 +125,10 @@ TEST(Determinism, MetricReadingsAreThreadCountInvariant) {
     Rng pat(777);
     effective_bisection_bandwidth(topo.net, out.table, map, 40, pat, {},
                                   ExecContext{threads});
-    std::ostringstream json;
-    obs::write_metrics_json(
-        json, obs::snapshot_delta(obs::registry().snapshot(), before),
-        obs::Kind::kDeterministic);
-    return json.str();
+    return obs::metrics_to_json(
+               obs::snapshot_delta(obs::registry().snapshot(), before),
+               obs::Kind::kDeterministic)
+        .dump();
   };
   const std::string one = run(1);
   const std::string two = run(2);

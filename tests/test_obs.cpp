@@ -1,6 +1,6 @@
 // Observability subsystem: registry merge determinism across thread counts,
 // histogram bucket semantics, trace-span JSON export (validity + nesting),
-// Table::write_json, and the snapshot helpers behind the bench run reports.
+// Table::to_json, and the snapshot helpers behind the bench run reports.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,8 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report/json_value.hpp"
+#include "obs/report/report.hpp"
 #include "obs/trace.hpp"
 
 namespace dfsssp {
@@ -160,9 +162,7 @@ std::string slurp(const std::string& path) {
 }
 
 std::string metrics_json(const obs::Snapshot& snap, obs::Kind kind) {
-  std::ostringstream out;
-  obs::write_metrics_json(out, snap, kind);
-  return out.str();
+  return obs::metrics_to_json(snap, kind).dump();
 }
 
 TEST(JsonLint, SanityOnItself) {
@@ -395,32 +395,38 @@ TEST(ObsTrace, InactiveSessionsAreFree) {
   EXPECT_EQ(obs::stop_tracing(), 0u);  // no session: no-op
 }
 
-// ---- Table::write_json ------------------------------------------------------
+// ---- Table::to_json ---------------------------------------------------------
 
-TEST(TableJson, WriteJsonIsValidAndRoundTrips) {
+TEST(TableJson, ToJsonIsValidAndRoundTrips) {
   Table t("Figure X: \"quoted\"", {"links", "LASH", "DFSSSP"});
   t.row().cell(140u).cell("1/2.00/3").cell("4/5.00/6");
   t.row().cell(700u).cell("-");  // short row pads
-  std::ostringstream out;
-  t.write_json(out);
-  const std::string text = out.str();
+  const obs::JsonValue doc = t.to_json();
+  const std::string text = doc.dump();
   EXPECT_TRUE(json_valid(text)) << text;
   EXPECT_NE(text.find("\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(text.find("[\"140\", \"1/2.00/3\", \"4/5.00/6\"]"),
-            std::string::npos);
-  EXPECT_NE(text.find("[\"700\", \"-\", \"\"]"), std::string::npos);
+  EXPECT_EQ(obs::JsonValue::parse(text), doc);
 
-  const std::string path = "test_obs_table.json";
-  t.write_json(path);
-  EXPECT_TRUE(json_valid(slurp(path)));
-  std::remove(path.c_str());
+  EXPECT_EQ(doc.at("title").as_string(), "Figure X: \"quoted\"");
+  const auto strings = [](const obs::JsonValue& array) {
+    std::vector<std::string> out;
+    for (const obs::JsonValue& v : array.items()) out.push_back(v.as_string());
+    return out;
+  };
+  EXPECT_EQ(strings(doc.at("columns")),
+            (std::vector<std::string>{"links", "LASH", "DFSSSP"}));
+  const auto& rows = doc.at("rows").items();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(strings(rows[0]),
+            (std::vector<std::string>{"140", "1/2.00/3", "4/5.00/6"}));
+  EXPECT_EQ(strings(rows[1]), (std::vector<std::string>{"700", "-", ""}));
 }
 
 TEST(TableJson, EmptyTableIsValid) {
   Table t("empty", {"a", "b"});
-  std::ostringstream out;
-  t.write_json(out);
-  EXPECT_TRUE(json_valid(out.str())) << out.str();
+  const std::string text = t.to_json().dump();
+  EXPECT_TRUE(json_valid(text)) << text;
+  EXPECT_EQ(t.to_json().at("rows").size(), 0u);
 }
 
 }  // namespace

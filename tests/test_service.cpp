@@ -28,6 +28,7 @@
 #include "fault/incremental.hpp"
 #include "fault/schedule.hpp"
 #include "obs/journal/journal.hpp"
+#include "obs/report/json_value.hpp"
 #include "obs/metrics.hpp"
 #include "service/core.hpp"
 #include "service/envelope.hpp"
@@ -590,9 +591,14 @@ TEST(ServicePipe, StatsAndInfoCarryServiceMetrics) {
   stats.kind = MsgKind::kStats;
   const ServiceResponse got = pipe.call(stats);
   ASSERT_EQ(got.status, Status::kOk);
-  EXPECT_NE(got.stats_json.find("service/requests"), std::string::npos);
-  EXPECT_NE(got.stats_json.find("service/snapshot_swaps"), std::string::npos);
-  EXPECT_NE(got.stats_json.find("service/route_ns"), std::string::npos);
+  // The registry is process-wide, so earlier tests may have counted too.
+  const obs::JsonValue doc = obs::JsonValue::parse(got.stats_json);
+  EXPECT_GE(doc.at("metrics").at("service/requests").as_uint(), 1u);
+  EXPECT_GE(doc.at("metrics").at("service/snapshot_swaps").as_uint(), 1u);
+  const obs::JsonValue& route_ns =
+      doc.at("timing_metrics").at("service/route_ns");
+  EXPECT_GE(route_ns.at("count").as_uint(), 1u);
+  EXPECT_EQ(route_ns.at("counts").size(), route_ns.at("edges").size() + 1);
 
   ServiceRequest info;
   info.kind = MsgKind::kSnapshotInfo;
@@ -610,9 +616,20 @@ TEST(ServicePipe, StatsAndInfoCarryServiceMetrics) {
   // and the process section.
   const ServiceResponse stats2 = pipe.call(stats);
   ASSERT_EQ(stats2.status, Status::kOk);
-  EXPECT_NE(stats2.stats_json.find("\"latency\""), std::string::npos);
-  EXPECT_NE(stats2.stats_json.find("p99_ns"), std::string::npos);
-  EXPECT_NE(stats2.stats_json.find("peak_rss_bytes"), std::string::npos);
+  const obs::JsonValue doc2 = obs::JsonValue::parse(stats2.stats_json);
+  const obs::JsonValue& latency = doc2.at("latency");
+  ASSERT_EQ(latency.size(), 3u);
+  for (const char* kind : {"lookup", "route", "repair"}) {
+    const obs::JsonValue& k = latency.at(kind);
+    for (const char* field :
+         {"count", "p50_ns", "p90_ns", "p99_ns", "max_ns"}) {
+      EXPECT_TRUE(k.at(field).is_integer()) << kind << "." << field;
+    }
+  }
+  EXPECT_GE(latency.at("route").at("count").as_uint(), 1u);
+  EXPECT_GT(latency.at("route").at("p99_ns").as_uint(), 0u);
+  EXPECT_GT(doc2.at("process").at("uptime_ns").as_uint(), 0u);
+  EXPECT_GT(doc2.at("process").at("peak_rss_bytes").as_uint(), 0u);
 }
 
 // -------------------------------------------------------- flight recorder
@@ -744,11 +761,12 @@ TEST(ServiceJournal, MutationsFlowThroughTheRecorder) {
   stats_req.kind = MsgKind::kStats;
   const ServiceResponse metrics = core.handle(stats_req);
   ASSERT_EQ(metrics.status, Status::kOk);
+  const obs::JsonValue doc = obs::JsonValue::parse(metrics.stats_json);
   for (const char* key : {"service/requests", "sssp/heap_pops",
                           "fault/active_paths", "certificate/walk_hops"}) {
-    EXPECT_NE(metrics.stats_json.find(std::string("\"") + key + "\""),
-              std::string::npos)
-        << key;
+    const obs::JsonValue* v = doc.at("metrics").find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_GT(v->as_uint(), 0u) << key;
   }
 }
 

@@ -35,7 +35,6 @@
 #include "analysis/lints.hpp"
 #include "analysis/witness.hpp"
 #include "common/cli.hpp"
-#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -70,7 +69,7 @@ int usage(const char* program) {
                "  --dump=FILE         read a forwarding dump\n"
                "  --route=ENGINE      engine registry key (minhop|updown|fattree|\n"
                "                      dor|dordateline|lash|sssp|dfsssp)\n"
-               "  --max-layers=N      layer budget for --route engines (default 8)\n"
+               "  --max-layers=N      layer budget for --route engines (1..16, default 8)\n"
                "actions (default: deadlock-freedom analysis + witness):\n"
                "  --cert-out=FILE     emit a deadlock-freedom certificate\n"
                "  --cert-check=FILE   validate a certificate (no cycle search)\n"
@@ -170,13 +169,6 @@ Topology load_topology(const std::string& path, const std::string& format) {
   throw std::runtime_error("unknown --topo-format '" + fmt + "'");
 }
 
-std::string json_escape(const std::string& s) {
-  // Escaped content without the surrounding quotes (print_json supplies
-  // them); delegates to the shared quoting helper.
-  const std::string quoted = json_quote(s);
-  return quoted.substr(1, quoted.size() - 2);
-}
-
 /// The "dfcheck/..." phase spans and the library's "certificate/..." spans
 /// of the profile session (started for --json and --report), as (name, ms,
 /// calls); empty without a session. What --trace records as spans, this
@@ -210,73 +202,72 @@ struct Report {
 };
 
 void print_json(const Network& net, const Report& r, std::ostream& out) {
-  out << "{\n";
-  out << "  \"topology\": \"" << json_escape(r.topology) << "\",\n";
-  out << "  \"switches\": " << r.switches << ",\n";
-  out << "  \"terminals\": " << r.terminals << ",\n";
-  out << "  \"channels\": " << r.channels << ",\n";
-  out << "  \"routing\": \"" << json_escape(r.routing_source) << "\",\n";
-  out << "  \"layers\": " << unsigned(r.layers);
+  using obs::JsonValue;
+  const auto integer = [](std::uint64_t v) {
+    return JsonValue::integer(static_cast<std::int64_t>(v));
+  };
+  JsonValue doc = JsonValue::object();
+  doc.set("topology", JsonValue::string(r.topology));
+  doc.set("switches", integer(r.switches));
+  doc.set("terminals", integer(r.terminals));
+  doc.set("channels", integer(r.channels));
+  doc.set("routing", JsonValue::string(r.routing_source));
+  doc.set("layers", integer(r.layers));
   if (r.analyzed) {
-    out << ",\n  \"deadlock_free\": " << (r.deadlock_free ? "true" : "false");
+    doc.set("deadlock_free", JsonValue::boolean(r.deadlock_free));
     if (!r.witness.empty()) {
-      out << ",\n  \"witness\": {\"layer\": " << unsigned(r.witness.layer)
-          << ", \"cycle\": [";
-      for (std::size_t i = 0; i < r.witness.edges.size(); ++i) {
-        const WitnessEdge& e = r.witness.edges[i];
+      JsonValue cycle = JsonValue::array();
+      for (const WitnessEdge& e : r.witness.edges) {
         const Channel& ch = net.channel(e.from);
-        out << (i ? ", " : "") << "{\"channel\": \""
-            << json_escape(net.node_name(ch.src) + "->" +
-                           net.node_name(ch.dst))
-            << "\", \"inducing_paths\": " << e.inducing_paths << "}";
+        JsonValue& edge = cycle.push_back(JsonValue::object());
+        edge.set("channel", JsonValue::string(net.node_name(ch.src) + "->" +
+                                              net.node_name(ch.dst)));
+        edge.set("inducing_paths", integer(e.inducing_paths));
       }
-      out << "]}";
+      JsonValue witness = JsonValue::object();
+      witness.set("layer", integer(r.witness.layer));
+      witness.set("cycle", std::move(cycle));
+      doc.set("witness", std::move(witness));
     }
   }
   if (!r.cert_out.empty()) {
-    out << ",\n  \"certificate_written\": \"" << json_escape(r.cert_out)
-        << "\"";
+    doc.set("certificate_written", JsonValue::string(r.cert_out));
   }
   if (r.checked) {
-    out << ",\n  \"certificate\": {\"file\": \"" << json_escape(r.cert_check)
-        << "\", \"ok\": " << (r.check.ok ? "true" : "false")
-        << ", \"paths_checked\": " << r.check.paths_checked
-        << ", \"deps_checked\": " << r.check.deps_checked;
-    if (!r.check.ok) {
-      out << ", \"error\": \"" << json_escape(r.check.error) << "\"";
-    }
-    out << "}";
+    JsonValue cert = JsonValue::object();
+    cert.set("file", JsonValue::string(r.cert_check));
+    cert.set("ok", JsonValue::boolean(r.check.ok));
+    cert.set("paths_checked", integer(r.check.paths_checked));
+    cert.set("deps_checked", integer(r.check.deps_checked));
+    if (!r.check.ok) cert.set("error", JsonValue::string(r.check.error));
+    doc.set("certificate", std::move(cert));
   }
   if (r.linted) {
-    out << ",\n  \"lint_counts\": {";
-    bool first = true;
+    JsonValue counts = JsonValue::object();
     for (std::size_t k = 0; k < kNumLintKinds; ++k) {
       if (r.lints.counts[k] == 0) continue;
-      out << (first ? "" : ", ") << "\""
-          << to_string(static_cast<LintKind>(k)) << "\": "
-          << r.lints.counts[k];
-      first = false;
+      counts.set(to_string(static_cast<LintKind>(k)),
+                 integer(r.lints.counts[k]));
     }
-    out << "},\n  \"lints\": [";
-    for (std::size_t i = 0; i < r.lints.lints.size(); ++i) {
-      const Lint& l = r.lints.lints[i];
-      out << (i ? ",\n    " : "\n    ") << "{\"kind\": \"" << to_string(l.kind)
-          << "\", \"message\": \"" << json_escape(l.message) << "\"}";
+    JsonValue lints = JsonValue::array();
+    for (const Lint& l : r.lints.lints) {
+      JsonValue& lint = lints.push_back(JsonValue::object());
+      lint.set("kind", JsonValue::string(to_string(l.kind)));
+      lint.set("message", JsonValue::string(l.message));
     }
-    out << (r.lints.lints.empty() ? "]" : "\n  ]");
+    doc.set("lint_counts", std::move(counts));
+    doc.set("lints", std::move(lints));
   }
   const auto timings = dfcheck_timings();
   if (!timings.empty()) {
-    out << ",\n  \"timing_ms\": {";
-    for (std::size_t i = 0; i < timings.size(); ++i) {
-      char ms[32];
-      std::snprintf(ms, sizeof(ms), "%.3f", std::get<1>(timings[i]));
-      out << (i ? ", " : "") << "\"" << json_escape(std::get<0>(timings[i]))
-          << "\": " << ms;
+    JsonValue timing = JsonValue::object();
+    for (const auto& [name, ms, calls] : timings) {
+      timing.set(name, JsonValue::number(ms));
     }
-    out << "}";
+    doc.set("timing_ms", std::move(timing));
   }
-  out << "\n}\n";
+  doc.write(out);
+  out << "\n";
 }
 
 /// Writes the analysis as a versioned run report (the dfbench BENCH_*.json
@@ -346,6 +337,11 @@ int run(int argc, char** argv) {
 
   const ExecContext exec(static_cast<unsigned>(
       std::max<std::int64_t>(0, cli.get_int("threads", 0))));
+  // An out-of-range count exits 2 naming its flag before any work starts.
+  const auto max_layers =
+      static_cast<Layer>(cli.get_count("max-layers", 8, kMaxLayers));
+  const auto witness_paths =
+      static_cast<std::uint32_t>(cli.get_count("witness-paths", 3));
 
   const std::string trace_file = cli.get("trace", "");
   if (!trace_file.empty()) obs::start_tracing(trace_file);
@@ -371,8 +367,6 @@ int run(int argc, char** argv) {
     dump_stats_ptr = &dump_stats;
     report.routing_source = "dump:" + dump_file;
   } else {
-    const Layer max_layers = static_cast<Layer>(std::min<std::int64_t>(
-        kMaxLayers, std::max<std::int64_t>(1, cli.get_int("max-layers", 8))));
     std::unique_ptr<Router> chosen = routing::make_router(engine, max_layers);
     if (!chosen) {
       std::fprintf(stderr, "dfcheck: unknown engine '%s' (have: %s)\n",
@@ -397,8 +391,6 @@ int run(int argc, char** argv) {
   const std::string dump_out = cli.get("dump-out", "");
   if (!dump_out.empty()) write_forwarding_dump(topo.net, table, dump_out);
 
-  const std::uint32_t witness_paths = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, cli.get_int("witness-paths", 3)));
   const std::string cert_out = cli.get("cert-out", "");
   const std::string cert_check = cli.get("cert-check", "");
   const bool want_lints = cli.get_bool("lints", false);

@@ -171,6 +171,13 @@ int print_outcome(const ServiceResponse& resp) {
   return 0;
 }
 
+/// A node or channel id flag: a whole number below `absent`, the kInvalid*
+/// sentinel the request carries when the flag is not given. Anything else
+/// exits 2 naming the flag; a cast would wrap 2^32 + 8 to channel 8.
+std::uint32_t id_flag(const Cli& cli, const char* key, std::uint32_t absent) {
+  return static_cast<std::uint32_t>(cli.get_count(key, absent, absent - 1, 0));
+}
+
 /// Maps a --kind flag value to the journal's event-kind byte; 0 = all.
 /// Returns false for an unknown name.
 bool parse_event_kind(const std::string& name, std::uint8_t& out) {
@@ -397,12 +404,12 @@ int main(int argc, char** argv) {
       ::close(fd);
       return usage(cli.program().c_str());
     }
-    req.channel = static_cast<ChannelId>(cli.get_int("channel", -1));
-    req.sw = static_cast<NodeId>(cli.get_int("switch", -1));
+    req.channel = id_flag(cli, "channel", kInvalidChannel);
+    req.sw = id_flag(cli, "switch", kInvalidNode);
   } else if (cmd == "lookup") {
     req.kind = MsgKind::kLookup;
-    req.src_switch = static_cast<NodeId>(cli.get_int("src", -1));
-    req.dst_terminal = static_cast<NodeId>(cli.get_int("dst", -1));
+    req.src_switch = id_flag(cli, "src", kInvalidNode);
+    req.dst_terminal = id_flag(cli, "dst", kInvalidNode);
   } else if (cmd == "lookups") {
     rc = run_lookup_loop(fd, cli);
     ::close(fd);
