@@ -16,8 +16,8 @@
 // Extra flags on top of the bench_util set:
 //   --topo=NAME       fabric by topology config name (`dftopo list`), as
 //                     `dfrouted --topo` takes it
-//   --k=K --n=N       k-ary n-tree fabric when --topo is absent (default
-//                     32-ary 2-tree: 1024 terminals)
+//   --k=K --n=N       k-ary n-tree fabric when --topo is absent, K 1..64,
+//                     N 1..5 (default 32-ary 2-tree: 1024 terminals)
 //   --events=E        churn events to generate (default 40)
 //   --event-seed=S    schedule seed
 //   --batch=B         coalesce B consecutive events into one repair via
@@ -27,6 +27,7 @@
 //                     batches (0 = never; default 10)
 //   --cert-dir=DIR    also write the certificate at every sample point
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -45,16 +46,14 @@ int main(int argc, char** argv) {
   cfg.tables_deterministic = false;
   Cli cli(argc, argv);
   const std::string topo_name = cli.get("topo", "");
-  const std::uint32_t k = static_cast<std::uint32_t>(cli.get_int("k", 32));
-  const std::uint32_t n = static_cast<std::uint32_t>(cli.get_int("n", 2));
+  const auto k = static_cast<std::uint32_t>(cli.get_count("k", 32, kMaxTreeK));
+  const auto n = static_cast<std::uint32_t>(cli.get_count("n", 2, kMaxTreeN));
   const std::uint32_t events = cli.get_count("events", 40);
   const std::uint64_t event_seed =
       static_cast<std::uint64_t>(cli.get_int("event-seed", 0xC4A17));
-  const std::size_t batch =
-      static_cast<std::size_t>(std::max<std::int64_t>(cli.get_int("batch", 1),
-                                                      1));
-  const std::uint32_t full_every =
-      static_cast<std::uint32_t>(cli.get_int("full-every", 10));
+  const std::size_t batch = cli.get_count("batch", 1);
+  const auto full_every = static_cast<std::uint32_t>(cli.get_count(
+      "full-every", 10, std::numeric_limits<std::uint32_t>::max(), 0));
   const std::string cert_dir = cli.get("cert-dir", "");
   const ExecContext exec = cfg.exec();
 
@@ -126,9 +125,9 @@ int main(int argc, char** argv) {
   const FaultSchedule schedule =
       FaultSchedule::random(topo.net, sched_opts, event_seed + 1);
 
-  // batch == 1 takes the exact path a daemon takes per fault notification
-  // (apply_all delegates to apply()); larger batches coalesce consecutive
-  // events into one delta and one repair, the daemon's burst behavior.
+  // batch == 1 repairs per fault notification (apply() is apply_all of
+  // one event); larger batches coalesce consecutive events into one delta
+  // and one repair, the daemon's burst behavior.
   std::uint32_t applied = 0, vetoed = 0, fallbacks = 0, cert_failures = 0;
   std::uint64_t dests_rerouted = 0;
   std::vector<double> repair_ms, full_ms;

@@ -20,11 +20,12 @@
 // exact-diffed.
 //
 // Extra flags on top of the bench_util set:
-//   --k=K --n=N       k-ary n-tree fabric (default 16-ary 2-tree)
+//   --k=K --n=N       k-ary n-tree fabric, K 1..64, N 1..5 (default
+//                     16-ary 2-tree)
 //   --events=E        churn events to generate (default 200)
 //   --event-seed=S    schedule seed
 //   --batch=B         fault events coalesced per repair (default 4)
-//   --clients=C       concurrent lookup client threads (default 4)
+//   --clients=C       concurrent lookup client threads, 1..256 (default 4)
 //   --lookups=L       total lookups across all clients (default 2000)
 //   --journal=0|1     flight recorder on the service core (default on,
 //                     so baselines price in the recording cost)
@@ -79,15 +80,15 @@ int main(int argc, char** argv) {
   // Table cells embed wall clock; keep them out of the dfbench quality gate.
   cfg.tables_deterministic = false;
   Cli cli(argc, argv);
-  const auto k = static_cast<std::uint32_t>(cli.get_int("k", 16));
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 2));
+  const auto k = static_cast<std::uint32_t>(cli.get_count("k", 16, kMaxTreeK));
+  const auto n = static_cast<std::uint32_t>(cli.get_count("n", 2, kMaxTreeN));
   const std::uint32_t events = cli.get_count("events", 200);
   const auto event_seed =
       static_cast<std::uint64_t>(cli.get_int("event-seed", 0x50AC));
-  const auto batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(cli.get_int("batch", 4), 1));
-  const auto clients = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(cli.get_int("clients", 4), 1));
+  const std::size_t batch = cli.get_count("batch", 4);
+  // Each client is a thread.
+  const auto clients =
+      static_cast<std::uint32_t>(cli.get_count("clients", 4, kMaxThreads));
   const std::uint64_t lookups = cli.get_count("lookups", 2000);
 
   Topology topo = make_kary_ntree(k, n);

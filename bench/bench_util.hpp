@@ -53,6 +53,10 @@
 
 namespace dfsssp::bench {
 
+/// Bounds of the k-ary n-tree flags --k and --n (bench_churn, bench_soak).
+inline constexpr std::uint64_t kMaxTreeK = 64;
+inline constexpr std::uint64_t kMaxTreeN = 5;
+
 struct BenchConfig {
   bool full = false;
   std::uint32_t patterns = 100;
@@ -80,10 +84,8 @@ struct BenchConfig {
     cfg.full = cli.get_bool("full", false);
     cfg.patterns = cli.get_count("patterns", cfg.patterns);
     cfg.seeds = cli.get_count("seeds", cfg.seeds);
-    // Negative counts would wrap to billions of workers; treat them as the
-    // hardware default, like --threads=0.
     cfg.threads = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(0, cli.get_int("threads", 0)));
+        cli.get_count("threads", 0, kMaxThreads, 0));
     cfg.csv = cli.get("csv", "");
     cfg.json = cli.get("json", "");
     cfg.trace = cli.get("trace", "");

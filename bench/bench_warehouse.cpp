@@ -7,7 +7,7 @@
 // lands in the profile's timing stats only.
 //
 //   --full       dragonfly(50,40,2001): 100050 switches, ~4.45M links
-//   --dests=N    sharded destination terminals (default 64)
+//   --dests=N    sharded destination terminals, 1..100050 (default 64)
 #include "bench_util.hpp"
 #include "obs/rusage.hpp"
 #include "routing/collect.hpp"
@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   BenchConfig cfg = BenchConfig::parse(argc, argv);
   const ExecContext exec = cfg.exec();
-  const std::uint32_t dests =
-      static_cast<std::uint32_t>(cli.get_int("dests", 64));
+  // At most one destination per switch of the --full shape.
+  const auto dests =
+      static_cast<std::uint32_t>(cli.get_count("dests", 64, 100050));
 
   // Balanced dragonflies (a*h == g-1). The quick shape keeps the same
   // construction path at ~7k switches so the bench stays runnable outside

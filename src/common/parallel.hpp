@@ -130,6 +130,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// The largest worker count a --threads flag accepts: far above any core
+/// count the benches run on, far below a request that would exhaust the
+/// process's threads.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Execution policy handed through the library's public APIs. Copyable and
 /// cheap to pass by value; copies share the same underlying pool. The
 /// default context is serial — existing call sites keep their exact

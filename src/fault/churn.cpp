@@ -9,38 +9,47 @@ bool is_link_event(const FaultEvent& e) {
   return e.kind == FaultKind::kLinkDown || e.kind == FaultKind::kLinkUp;
 }
 
-bool is_up_event(const FaultEvent& e) {
-  return e.kind == FaultKind::kLinkUp || e.kind == FaultKind::kSwitchUp;
+/// A revived link only adds connectivity, so the admission rule skips it.
+bool exempt(const FaultEvent& e) { return e.kind == FaultKind::kLinkUp; }
+
+/// The admission rule: some switch is alive and the alive switches are
+/// connected.
+bool admissible(const Network& net) {
+  return net.num_alive_switches() > 0 && net.alive_connected();
 }
 
-/// Channels whose effective state one event can change: the link's two
-/// directions, or everything physically touching the switch (inter-switch
-/// links and the switch's terminals' injection/ejection channels).
-/// Sorted, deduplicated.
-std::vector<ChannelId> event_candidates(const Network& net,
-                                        const FaultEvent& event) {
-  std::vector<ChannelId> candidates;
-  if (is_link_event(event)) {
-    candidates = {event.channel, net.channel(event.channel).reverse};
+/// The physical flag an event sets: its link's or its switch's.
+bool flag(const Network& net, const FaultEvent& e) {
+  return is_link_event(e) ? net.link_up(e.channel) : net.switch_up(e.sw);
+}
+
+void set_flag(Network& net, const FaultEvent& e, bool up) {
+  if (is_link_event(e)) {
+    net.set_link_up(e.channel, up);
   } else {
-    for (ChannelId c : net.out_channels_all(event.sw)) {
-      candidates.push_back(c);
-      candidates.push_back(net.channel(c).reverse);
-    }
+    net.set_switch_up(e.sw, up);
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  return candidates;
+}
+
+/// Whether the event's target is in effect: its link traversable (both
+/// directions share the link's flag and endpoints, so they move together)
+/// or its switch up.
+bool in_effect(const Network& net, const FaultEvent& e) {
+  return is_link_event(e) ? net.channel_alive(e.channel) : net.switch_up(e.sw);
+}
+
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 }  // namespace
 
-ChurnEngine::ChurnEngine(Topology& topo, ChurnOptions options)
-    : topo_(&topo), options_(options) {}
+ChurnEngine::ChurnEngine(Topology& topo) : topo_(&topo) {}
 
-void ChurnEngine::maybe_degrade_meta() {
-  if (options_.degrade_meta && !topo_->meta.family.empty() &&
+void ChurnEngine::degrade_meta() {
+  if (!topo_->meta.family.empty() &&
       topo_->meta.family.find("/degraded") == std::string::npos) {
     topo_->meta.sw_coord.clear();
     topo_->meta.sw_level.clear();
@@ -51,66 +60,18 @@ void ChurnEngine::maybe_degrade_meta() {
 }
 
 ChurnDelta ChurnEngine::apply(const FaultEvent& event) {
-  Network& net = topo_->net;
-  ChurnDelta delta;
-  delta.event = event;
-
-  const bool is_link = is_link_event(event);
-  const std::vector<ChannelId> candidates = event_candidates(net, event);
-
-  std::vector<std::uint8_t> alive_before(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    alive_before[i] = net.channel_alive(candidates[i]) ? 1 : 0;
-  }
-  const bool sw_up_before = !is_link && net.switch_up(event.sw);
-
-  const bool up = is_up_event(event);
-  if (is_link) {
-    net.set_link_up(event.channel, up);
-  } else {
-    net.set_switch_up(event.sw, up);
-  }
-
-  if (!up && options_.veto_disconnecting && !net.alive_connected()) {
-    // Roll back: this fault would partition the alive fabric.
-    if (is_link) {
-      net.set_link_up(event.channel, true);
-    } else {
-      net.set_switch_up(event.sw, true);
-    }
-    delta.veto_reason = "would disconnect the alive switches";
-    ++events_vetoed_;
-    return delta;
-  }
-
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const bool alive_after = net.channel_alive(candidates[i]);
-    if (alive_before[i] && !alive_after) delta.downed.push_back(candidates[i]);
-    if (!alive_before[i] && alive_after) {
-      delta.restored.push_back(candidates[i]);
-    }
-  }
-  if (!is_link && net.switch_up(event.sw) != sw_up_before) {
-    (up ? delta.switches_up : delta.switches_down).push_back(event.sw);
-  }
-
-  delta.applied = !delta.no_effect();
-  if (!delta.applied) return delta;  // e.g. re-killing an already-dead link
-
-  ++events_applied_;
-  maybe_degrade_meta();
-  return delta;
+  return apply_all({&event, 1});
 }
 
 ChurnDelta ChurnEngine::apply_all(std::span<const FaultEvent> events) {
   ChurnDelta delta;
   if (events.empty()) return delta;
-  if (events.size() == 1) return apply(events.front());
   Network& net = topo_->net;
-  delta.event = events.front();
 
-  // Batch-start snapshot over the union of everything any event can touch.
-  // The coalesced delta is measured against this, so a channel downed and
+  // Batch-start snapshot over the union of everything any event can touch:
+  // a link's two directions, or every physical channel at a switch (its
+  // inter-switch links and its terminals' injection/ejection channels).
+  // The coalesced delta is measured against it, so a channel downed and
   // restored within the batch nets out to no entry at all.
   std::vector<ChannelId> union_ch;
   std::vector<NodeId> union_sw;
@@ -126,83 +87,42 @@ ChurnDelta ChurnEngine::apply_all(std::span<const FaultEvent> events) {
       }
     }
   }
-  std::sort(union_ch.begin(), union_ch.end());
-  union_ch.erase(std::unique(union_ch.begin(), union_ch.end()),
-                 union_ch.end());
-  std::sort(union_sw.begin(), union_sw.end());
-  union_sw.erase(std::unique(union_sw.begin(), union_sw.end()),
-                 union_sw.end());
-
+  sort_unique(union_ch);
+  sort_unique(union_sw);
   std::vector<std::uint8_t> alive_start(union_ch.size());
-  std::vector<std::uint8_t> link_phys_start(union_ch.size());
   for (std::size_t i = 0; i < union_ch.size(); ++i) {
     alive_start[i] = net.channel_alive(union_ch[i]) ? 1 : 0;
-    link_phys_start[i] = net.link_up(union_ch[i]) ? 1 : 0;
   }
   std::vector<std::uint8_t> sw_start(union_sw.size());
   for (std::size_t i = 0; i < union_sw.size(); ++i) {
     sw_start[i] = net.switch_up(union_sw[i]) ? 1 : 0;
   }
 
-  // Forward pass: apply every event, tracking per-event effect exactly like
-  // apply() does (own candidates, aliveness before/after) so the
-  // events_applied counter stays equal to the serial path's.
-  std::uint64_t applied_here = 0;
-  bool any_down = false;
+  // Each event is judged on the state right after it, so how a burst is cut
+  // into batches never changes where the fabric ends up.
+  std::uint64_t applied = 0;
+  std::uint64_t vetoed = 0;
   for (const FaultEvent& e : events) {
-    const bool is_link = is_link_event(e);
-    const std::vector<ChannelId> cand = event_candidates(net, e);
-    std::vector<std::uint8_t> alive_before(cand.size());
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      alive_before[i] = net.channel_alive(cand[i]) ? 1 : 0;
+    const bool flag_before = flag(net, e);
+    const bool effect_before = in_effect(net, e);
+    set_flag(net, e,
+             e.kind == FaultKind::kLinkUp || e.kind == FaultKind::kSwitchUp);
+    if (!exempt(e) && !admissible(net)) {
+      // The veto restores the flag the event set: the state before it.
+      if (flag(net, e) != flag_before) set_flag(net, e, flag_before);
+      ++vetoed;
+    } else if (in_effect(net, e) != effect_before) {
+      ++applied;
     }
-    const bool sw_up_before = !is_link && net.switch_up(e.sw);
-
-    const bool up = is_up_event(e);
-    if (!up) any_down = true;
-    if (is_link) {
-      net.set_link_up(e.channel, up);
-    } else {
-      net.set_switch_up(e.sw, up);
-    }
-
-    bool effect = !is_link && net.switch_up(e.sw) != sw_up_before;
-    for (std::size_t i = 0; !effect && i < cand.size(); ++i) {
-      effect = (net.channel_alive(cand[i]) ? 1 : 0) != alive_before[i];
-    }
-    if (effect) ++applied_here;
   }
-
-  if (any_down && options_.veto_disconnecting && !net.alive_connected()) {
-    // The single partition pass failed: the batch as a whole disconnects
-    // the alive switches. Roll everything back to the batch-start state and
-    // replay per event, so exactly the disconnecting events are vetoed and
-    // the fabric ends up identical to a serial apply() loop.
-    // Restore only links whose physical state moved: terminal
-    // injection/ejection channels are in the union (a switch event kills
-    // them) but have no independent link state — set_switch_up below
-    // revives them.
-    for (std::size_t i = 0; i < union_ch.size(); ++i) {
-      const bool want = link_phys_start[i] != 0;
-      if (net.link_up(union_ch[i]) != want) {
-        net.set_link_up(union_ch[i], want);
-      }
-    }
-    for (std::size_t i = 0; i < union_sw.size(); ++i) {
-      net.set_switch_up(union_sw[i], sw_start[i] != 0);
-    }
-    const std::uint64_t vetoed_before = events_vetoed_;
-    for (const FaultEvent& e : events) apply(e);
-    const std::uint64_t vetoed = events_vetoed_ - vetoed_before;
-    if (vetoed > 0) {
-      delta.veto_reason = std::to_string(vetoed) + " of " +
-                          std::to_string(events.size()) +
-                          " events vetoed: would disconnect the alive "
-                          "switches";
-    }
-  } else {
-    events_applied_ += applied_here;
-    if (applied_here > 0) maybe_degrade_meta();
+  events_applied_ += applied;
+  events_vetoed_ += vetoed;
+  if (applied > 0) degrade_meta();
+  if (vetoed > 0) {
+    delta.veto_reason = std::to_string(vetoed) + " of " +
+                        std::to_string(events.size()) +
+                        " events vetoed: would leave no alive switch or "
+                        "disconnect the alive switches";
   }
 
   // Coalesced delta: batch start vs wherever the fabric ended up.

@@ -8,10 +8,13 @@
 // repair engine invalidates precisely the destinations whose paths touch
 // `delta.downed` channels.
 //
-// Events that would disconnect the alive switches are vetoed (rolled back,
-// `applied == false`) by default — the same degraded-connectivity detection
-// a subnet manager performs before reprogramming a fabric it can no longer
-// span.
+// It also holds the one admission rule of the fault model: an event other
+// than a link revival is vetoed when, afterwards, no switch is alive or the
+// alive switches are disconnected — the fabric a subnet manager can no
+// longer route. A veto restores the state before the event exactly.
+// FaultSchedule draws its streams through this engine, so a schedule and
+// the daemon admit the same events. A revived link is exempt: it can only
+// add connectivity.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +28,15 @@
 namespace dfsssp {
 
 struct ChurnDelta {
-  FaultEvent event{};
-  /// False when the event was vetoed (see veto_reason) or changed nothing.
+  /// False when every event was vetoed (see veto_reason) or the batch
+  /// changed nothing.
   bool applied = false;
   std::string veto_reason;
   /// Directed channels that were traversable before and are not now.
   std::vector<ChannelId> downed;
   /// Directed channels that were dead before and are traversable now.
   std::vector<ChannelId> restored;
-  /// Switches whose up flag flipped (at most one per event).
+  /// Switches whose up flag flipped.
   std::vector<NodeId> switches_down;
   std::vector<NodeId> switches_up;
 
@@ -43,35 +46,21 @@ struct ChurnDelta {
   }
 };
 
-struct ChurnOptions {
-  /// Roll back any event after which the alive switches are disconnected.
-  bool veto_disconnecting = true;
-  /// On the first applied fault, drop the topology's generator metadata
-  /// (coordinates, tree levels): a degraded fabric is no longer the regular
-  /// structure the generator promised, so structure-dependent engines (DOR,
-  /// fat-tree) must refuse it rather than route it wrong — exactly how a
-  /// subnet manager re-discovers a broken fabric as an arbitrary graph.
-  bool degrade_meta = true;
-};
-
 class ChurnEngine {
  public:
-  explicit ChurnEngine(Topology& topo, ChurnOptions options = {});
+  explicit ChurnEngine(Topology& topo);
 
-  /// Applies one event and returns the effective change. The Topology
-  /// mutates in place; a vetoed event leaves it untouched.
+  /// Applies one event: apply_all of a batch of one.
   ChurnDelta apply(const FaultEvent& event);
 
-  /// Applies a batch of events and returns ONE coalesced delta: channel and
-  /// switch flips are measured batch-start vs batch-end (a link downed and
-  /// restored within the batch appears in neither list, duplicates collapse),
-  /// and connectivity is vetoed with a single partition pass at the end
-  /// instead of per event. This is what lets a daemon fold a burst of fault
-  /// notifications into one repair. When the batch as a whole would
-  /// disconnect the alive switches, it is rolled back and replayed per event
-  /// so exactly the disconnecting events are vetoed — the net topology state
-  /// is then identical to calling apply() in a loop. `delta.event` is the
-  /// first event of the batch; an empty batch returns a no-effect delta.
+  /// Applies a batch of events in order and returns ONE coalesced delta:
+  /// channel and switch flips are measured batch-start vs batch-end (a link
+  /// downed and restored within the batch appears in neither list,
+  /// duplicates collapse). This is what lets a daemon fold a burst of fault
+  /// notifications into one repair. Each event is judged by the admission
+  /// rule on the state right after it, so the fabric ends up exactly where
+  /// a loop of apply() calls leaves it, however a burst is cut into
+  /// batches. An empty batch returns a no-effect delta.
   ChurnDelta apply_all(std::span<const FaultEvent> events);
 
   const Topology& topo() const { return *topo_; }
@@ -79,12 +68,14 @@ class ChurnEngine {
   std::uint64_t events_vetoed() const { return events_vetoed_; }
 
  private:
-  /// Drops generator metadata once the fabric diverges from its generated
-  /// structure (see ChurnOptions::degrade_meta).
-  void maybe_degrade_meta();
+  /// On the first applied fault, drops the topology's generator metadata
+  /// (coordinates, tree levels): a degraded fabric is no longer the regular
+  /// structure the generator promised, so structure-dependent engines (DOR,
+  /// fat-tree) must refuse it rather than route it wrong — exactly how a
+  /// subnet manager re-discovers a broken fabric as an arbitrary graph.
+  void degrade_meta();
 
   Topology* topo_;
-  ChurnOptions options_;
   std::uint64_t events_applied_ = 0;
   std::uint64_t events_vetoed_ = 0;
 };

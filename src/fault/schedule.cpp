@@ -1,6 +1,7 @@
 #include "fault/schedule.hpp"
 
 #include "common/rng.hpp"
+#include "fault/churn.hpp"
 
 namespace dfsssp {
 
@@ -33,9 +34,11 @@ FaultSchedule FaultSchedule::random(const Network& net,
                                     const FaultScheduleOptions& options,
                                     std::uint64_t seed) {
   FaultSchedule sched;
-  // Events are drawn against a copy of the network's own fault state, with
-  // the calls ChurnEngine vetoes with, so the two agree on what disconnects.
-  Network sim = net;
+  // Every candidate goes through ChurnEngine on a copy of the network, so a
+  // schedule admits exactly the events the engine admits.
+  Topology sim;
+  sim.net = net;
+  ChurnEngine churn(sim);
   Rng rng(seed);
   // Candidates in a fixed order (forward channel ids ascending, switches by
   // index), which keeps every seed's stream stable.
@@ -45,20 +48,17 @@ FaultSchedule FaultSchedule::random(const Network& net,
       links.push_back(c);
     }
   }
-  const auto keeps_connected = [&] {
-    return !options.keep_connected || sim.alive_connected();
-  };
 
   for (std::uint32_t step = 0; step < options.num_events; ++step) {
     std::vector<ChannelId> up_links;
     std::vector<ChannelId> down_links;
     for (ChannelId c : links) {
-      (sim.link_up(c) ? up_links : down_links).push_back(c);
+      (sim.net.link_up(c) ? up_links : down_links).push_back(c);
     }
     std::vector<NodeId> up_switches;
     std::vector<NodeId> down_switches;
-    for (NodeId sw : sim.switches()) {
-      (sim.switch_up(sw) ? up_switches : down_switches).push_back(sw);
+    for (NodeId sw : sim.net.switches()) {
+      (sim.net.switch_up(sw) ? up_switches : down_switches).push_back(sw);
     }
 
     // Weighted kind draw over the kinds that currently have candidates.
@@ -97,32 +97,20 @@ FaultSchedule FaultSchedule::random(const Network& net,
     };
     FaultEvent ev;
     ev.kind = kind;
+    // Redraw until the engine admits the candidate. A link revival is never
+    // vetoed, so it takes one draw.
     bool emitted = false;
-    if (kind == FaultKind::kLinkUp) {
-      // A revived link never disconnects anything.
-      ev.channel = pick(down_links);
-      sim.set_link_up(ev.channel, true);
-      emitted = true;
-    }
-    // The other kinds redraw until the alive switches stay connected. A
-    // revived switch needs the guard too: its links may have gone down
-    // while it was dead, and it would rejoin the alive set isolated — a
-    // partition the subnet manager cannot route across.
     for (std::uint32_t attempt = 0;
          attempt < options.max_attempts && !emitted; ++attempt) {
-      if (kind == FaultKind::kLinkDown) {
-        ev.channel = pick(up_links);
-        sim.set_link_up(ev.channel, false);
-        emitted = keeps_connected();
-        if (!emitted) sim.set_link_up(ev.channel, true);
-      } else {
-        const bool up = kind == FaultKind::kSwitchUp;
-        ev.sw = pick(up ? down_switches : up_switches);
-        sim.set_switch_up(ev.sw, up);
-        // The last alive switch never goes down.
-        emitted = sim.num_alive_switches() >= 1 && keeps_connected();
-        if (!emitted) sim.set_switch_up(ev.sw, !up);
+      switch (kind) {
+        case FaultKind::kLinkDown: ev.channel = pick(up_links); break;
+        case FaultKind::kLinkUp: ev.channel = pick(down_links); break;
+        case FaultKind::kSwitchDown: ev.sw = pick(up_switches); break;
+        case FaultKind::kSwitchUp: ev.sw = pick(down_switches); break;
       }
+      const std::uint64_t vetoed = churn.events_vetoed();
+      churn.apply(ev);
+      emitted = churn.events_vetoed() == vetoed;
     }
     if (emitted) sched.events_.push_back(ev);
   }

@@ -1,15 +1,15 @@
 // Deterministic fault-event streams.
 //
 // A FaultSchedule is a pre-generated, seed-reproducible sequence of link and
-// switch down/up events against one frozen Network. Generation draws each
-// event against a copy of the network's own fault state (set_link_up,
-// set_switch_up, alive_connected: the calls ChurnEngine vetoes with), so
-// that (with the default options) no down event ever disconnects the alive
-// switches — the schedule models the churn a subnet manager survives, not a
-// partition it cannot route across. The schedule is pure data: applying it
-// to a Network is ChurnEngine's job (churn.hpp), so one schedule can drive
-// the incremental and the from-scratch engine over identical fault
-// histories.
+// switch down/up events against one frozen Network. Generation applies each
+// drawn candidate through a ChurnEngine on a copy of the network and keeps
+// it only when the engine did not veto it, so a schedule holds only events
+// the engine admits: no event leaves the fabric without an alive switch or
+// with its alive switches disconnected — the churn a subnet manager
+// survives, not a partition it cannot route across. The schedule is pure
+// data: applying it to a Network is ChurnEngine's job (churn.hpp), so one
+// schedule can drive the incremental and the from-scratch engine over
+// identical fault histories.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +50,8 @@ struct FaultScheduleOptions {
   std::uint32_t link_up_weight = 3;
   std::uint32_t switch_down_weight = 2;
   std::uint32_t switch_up_weight = 1;
-  /// Never emit an event that would disconnect the alive switches: no down
-  /// event may partition them (or take the last alive switch down), and no
-  /// switch revival may rejoin the alive set isolated (its links downed
-  /// while it was dead). Candidates are re-drawn up to `max_attempts`
-  /// times; when none survives, the event degenerates to an up event (or
-  /// is skipped when nothing is down).
-  bool keep_connected = true;
+  /// Draws per event: a candidate the engine vetoes is redrawn, up to this
+  /// many times, and the event is skipped when none is admitted.
   std::uint32_t max_attempts = 32;
 };
 
@@ -64,9 +59,9 @@ class FaultSchedule {
  public:
   /// Generates a schedule against `net`'s physical structure. Deterministic
   /// in (net, options, seed); does not modify `net`. The generated stream
-  /// may be shorter than `options.num_events` when no admissible event
-  /// exists at some step (e.g. keep_connected on a tree with every leaf
-  /// link already down).
+  /// may be shorter than `options.num_events` when no draw at some step is
+  /// admitted (e.g. a link kill on a tree whose every leaf hangs by one
+  /// link).
   static FaultSchedule random(const Network& net,
                               const FaultScheduleOptions& options,
                               std::uint64_t seed);

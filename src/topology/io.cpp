@@ -1,5 +1,6 @@
 #include "topology/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -452,6 +453,47 @@ Topology read_ibnetdiscover_path(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open: " + path);
   return read_ibnetdiscover(in, path);
+}
+
+// ---- any format -------------------------------------------------------------
+
+namespace {
+
+/// The DFEL magic means edgelist; else the first token outside comments
+/// decides: a netfile keyword means netfile, anything else ibnetdiscover.
+std::string sniff_format(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open topology: " + path);
+  unsigned char head[8] = {0};
+  in.read(reinterpret_cast<char*>(head), sizeof head);
+  if (in.gcount() == sizeof head && get_u64(head) == kEdgeListMagic) {
+    return "edgelist";
+  }
+  in.clear();
+  in.seekg(0);
+  std::string line;
+  while (std::getline(in, line)) {
+    line.erase(std::min(line.find('#'), line.size()));
+    std::istringstream ls(line);
+    std::string tok;
+    if (!(ls >> tok)) continue;
+    return tok == "switch" || tok == "terminal" || tok == "link"
+               ? "netfile"
+               : "ibnetdiscover";
+  }
+  return "ibnetdiscover";
+}
+
+}  // namespace
+
+Topology read_topology_path(const std::string& path,
+                            const std::string& format) {
+  const std::string fmt = format.empty() ? sniff_format(path) : format;
+  if (fmt == "edgelist") return read_edgelist_path(path);
+  if (fmt == "netfile") return read_netfile_path(path);
+  if (fmt == "ibnetdiscover") return read_ibnetdiscover_path(path);
+  throw std::runtime_error("unknown topology format '" + fmt +
+                           "' (edgelist|netfile|ibnetdiscover)");
 }
 
 }  // namespace dfsssp

@@ -50,8 +50,8 @@ Topology read_netfile_path(const std::string& path);
 //   num_terminals x u32              attachment switch per terminal, in
 //                                    terminal-index order
 
-/// The 8-byte magic ("DFELIST1" as a little-endian u64); exposed so format
-/// sniffers (dftopo validate) can recognize the file.
+/// The 8-byte magic ("DFELIST1" as a little-endian u64): the first thing
+/// read_topology_path checks when it sniffs a file's format.
 constexpr std::uint64_t kEdgeListMagic = 0x315453494C454644ULL;
 
 /// Incremental writer for generators that stream chunks to disk: the
@@ -105,5 +105,13 @@ Topology read_edgelist_path(const std::string& path);
 Topology read_ibnetdiscover(std::istream& in,
                             const std::string& name = "ibnetdiscover");
 Topology read_ibnetdiscover_path(const std::string& path);
+
+/// Reads a topology file in `format` (edgelist|netfile|ibnetdiscover).
+/// With no format, sniffs it: the DFEL magic means edgelist, a first token
+/// (outside '#' comments) of switch/terminal/link means netfile, anything
+/// else ibnetdiscover. Throws std::runtime_error on an unknown format, a
+/// missing file, or whatever the chosen reader rejects.
+Topology read_topology_path(const std::string& path,
+                            const std::string& format = "");
 
 }  // namespace dfsssp

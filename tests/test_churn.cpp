@@ -31,6 +31,12 @@ std::uint32_t alive_terminals(const Network& net) {
   return alive;
 }
 
+/// The admission rule, written out independently of ChurnEngine: some
+/// switch is alive and the alive switches are connected.
+bool admissible(const Network& net) {
+  return net.num_alive_switches() > 0 && net.alive_connected();
+}
+
 /// Every (alive switch, alive destination) pair must walk to the
 /// destination over alive channels only.
 void expect_reachable(const Network& net, const RoutingTable& table) {
@@ -239,7 +245,7 @@ TEST(IncrementalDfsssp, RepairProvenance) {
   EXPECT_GT(repaired.repair.paths_migrated, 0u);
 
   // Restoring a link keeps every existing route valid: a no-op repair.
-  FaultEvent up{FaultKind::kLinkUp, down.event.channel, kInvalidNode};
+  FaultEvent up{FaultKind::kLinkUp, kills[0].channel, kInvalidNode};
   const ChurnDelta restored = churn.apply(up);
   ASSERT_TRUE(restored.applied);
   RouteResponse noop = inc.repair(RouteRequest(topo), restored);
@@ -514,11 +520,10 @@ TEST(ChurnEngine, ApplyAllMatchesSerialApply) {
     for (std::size_t j = 0; j < count; ++j) serial.apply(schedule[i + j]);
     batched.apply_all(std::span<const FaultEvent>(
         schedule.events().data() + i, count));
-    // Note: connectivity itself is NOT asserted here — a switch_up can
-    // revive an isolated switch, which neither apply() nor apply_all
-    // vetoes (only down events are). The contract is equivalence.
-    EXPECT_EQ(batched_topo.net.alive_connected(),
-              serial_topo.net.alive_connected());
+    // Both engines hold the one admission rule, so every batch boundary
+    // leaves an alive switch and the alive switches connected.
+    EXPECT_TRUE(admissible(serial_topo.net)) << "batch at " << i;
+    EXPECT_TRUE(admissible(batched_topo.net)) << "batch at " << i;
   }
 
   // Identical fault history, identical fabric — batching only coalesces
@@ -559,9 +564,9 @@ TEST(ChurnEngine, ApplyAllVetoRollsBackAndReplaysPerEvent) {
   const ChurnDelta delta =
       churn.apply_all(std::span<const FaultEvent>(batch, 2));
 
-  // The batch as a whole partitions the ring, so it is replayed per event:
-  // the first kill survives alone, the second (now a bridge kill) is
-  // vetoed — exactly what a serial apply() loop would do.
+  // Each event is judged on the state right after it: the first kill
+  // keeps the ring connected, the second (now a bridge kill) is vetoed —
+  // exactly what a serial apply() loop would do.
   EXPECT_TRUE(delta.applied);
   EXPECT_FALSE(delta.veto_reason.empty());
   EXPECT_FALSE(net.channel_alive(ab));
@@ -574,6 +579,139 @@ TEST(ChurnEngine, ApplyAllVetoRollsBackAndReplaysPerEvent) {
   ASSERT_EQ(delta.downed.size(), 2u);
   EXPECT_TRUE(delta.restored.empty());
   EXPECT_TRUE(delta.switches_down.empty());
+}
+
+// A switch whose links all went down while it was dead would rejoin the
+// fabric isolated: a partition no engine routes across. The revival is
+// vetoed like any other inadmissible event, and the repair succeeds.
+TEST(ChurnEngine, VetoesIsolatedSwitchRevival) {
+  Topology topo = make_kary_ntree(4, 2);
+  Network& net = topo.net;
+  IncrementalDfsssp inc;
+  ASSERT_TRUE(inc.route(RouteRequest(topo)).ok);
+  ChurnEngine churn(topo);
+
+  const NodeId sw = net.switch_by_index(0);
+  std::vector<FaultEvent> down{{FaultKind::kSwitchDown, kInvalidChannel, sw}};
+  for (ChannelId c : net.out_channels_all(sw)) {
+    if (net.is_switch_channel(c)) {
+      down.push_back({FaultKind::kLinkDown, c, kInvalidNode});
+    }
+  }
+  const ChurnDelta isolated = churn.apply_all(down);
+  ASSERT_TRUE(isolated.applied);
+  ASSERT_TRUE(inc.repair(RouteRequest(topo), isolated).ok);
+
+  const ChurnDelta revive =
+      churn.apply({FaultKind::kSwitchUp, kInvalidChannel, sw});
+  EXPECT_FALSE(revive.applied);
+  EXPECT_FALSE(revive.veto_reason.empty());
+  EXPECT_TRUE(revive.no_effect());
+  EXPECT_FALSE(net.switch_up(sw));
+  EXPECT_TRUE(admissible(net));
+  EXPECT_EQ(churn.events_vetoed(), 1u);
+
+  const RouteResponse out = inc.repair(RouteRequest(topo), revive);
+  ASSERT_TRUE(out.ok) << out.error;
+  expect_reachable(net, out.table);
+}
+
+TEST(ChurnEngine, VetoesTheLastAliveSwitch) {
+  Topology topo;
+  Network& net = topo.net;
+  const NodeId a = net.add_switch(), b = net.add_switch();
+  net.add_link(a, b);
+  net.add_terminal(a);
+  net.add_terminal(b);
+  net.freeze();
+  ChurnEngine churn(topo);
+
+  // In one batch: b goes down, then taking a down would leave no switch
+  // alive, so that event alone is vetoed.
+  const FaultEvent batch[] = {{FaultKind::kSwitchDown, kInvalidChannel, b},
+                              {FaultKind::kSwitchDown, kInvalidChannel, a}};
+  const ChurnDelta delta =
+      churn.apply_all(std::span<const FaultEvent>(batch, 2));
+  EXPECT_TRUE(delta.applied);
+  EXPECT_FALSE(delta.veto_reason.empty());
+  EXPECT_EQ(delta.switches_down, std::vector<NodeId>{b});
+  EXPECT_TRUE(net.switch_up(a));
+  EXPECT_FALSE(net.switch_up(b));
+
+  // One at a time: the last alive switch stays up.
+  const ChurnDelta last =
+      churn.apply({FaultKind::kSwitchDown, kInvalidChannel, a});
+  EXPECT_FALSE(last.applied);
+  EXPECT_FALSE(last.veto_reason.empty());
+  EXPECT_TRUE(net.switch_up(a));
+  EXPECT_EQ(net.num_alive_switches(), 1u);
+  EXPECT_EQ(churn.events_applied(), 1u);
+  EXPECT_EQ(churn.events_vetoed(), 2u);
+}
+
+// Raw random events, not drawn by a schedule, so many are inadmissible:
+// isolating kills, revivals of isolated switches, the last switch going
+// down. After every call the fabric is admissible and a call whose every
+// event was vetoed left every link and switch flag as it found it; the
+// engine fed one event per call ends where the engine fed batches of 4
+// ends.
+TEST(ChurnEngine, VetoLeavesTheFabricUntouched) {
+  const Topology pristine = make_kary_ntree(4, 2);
+  const Network& pnet = pristine.net;
+  std::vector<ChannelId> links;
+  for (ChannelId c = 0; c < pnet.num_channels(); ++c) {
+    if (pnet.is_switch_channel(c) && c < pnet.channel(c).reverse) {
+      links.push_back(c);
+    }
+  }
+  const auto flags = [&](const Network& net) {
+    std::vector<bool> f;
+    for (ChannelId c : links) f.push_back(net.link_up(c));
+    for (NodeId sw : net.switches()) f.push_back(net.switch_up(sw));
+    return f;
+  };
+  const auto apply = [&](ChurnEngine& churn, const Network& net,
+                         std::span<const FaultEvent> events) {
+    const std::vector<bool> before = flags(net);
+    const std::uint64_t vetoed = churn.events_vetoed();
+    churn.apply_all(events);
+    EXPECT_TRUE(admissible(net));
+    if (churn.events_vetoed() - vetoed == events.size()) {
+      EXPECT_EQ(flags(net), before);
+    }
+  };
+
+  std::uint64_t vetoes = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<FaultEvent> events(300);
+    for (FaultEvent& e : events) {
+      e.kind = static_cast<FaultKind>(rng.next_below(4));
+      if (e.kind == FaultKind::kLinkDown || e.kind == FaultKind::kLinkUp) {
+        e.channel = links[rng.next_below(links.size())];
+      } else {
+        e.sw = pnet.switch_by_index(
+            static_cast<std::uint32_t>(rng.next_below(pnet.num_switches())));
+      }
+    }
+    Topology serial_topo = pristine;
+    Topology batched_topo = pristine;
+    ChurnEngine serial(serial_topo);
+    ChurnEngine batched(batched_topo);
+    for (std::size_t i = 0; i < events.size(); i += 4) {
+      for (std::size_t j = i; j < i + 4; ++j) {
+        apply(serial, serial_topo.net, {&events[j], 1});
+      }
+      apply(batched, batched_topo.net, {&events[i], 4});
+      ASSERT_EQ(flags(serial_topo.net), flags(batched_topo.net))
+          << "events " << i << ".." << i + 3;
+    }
+    EXPECT_EQ(batched.events_applied(), serial.events_applied());
+    EXPECT_EQ(batched.events_vetoed(), serial.events_vetoed());
+    vetoes += serial.events_vetoed();
+  }
+  EXPECT_GT(vetoes, 0u);
 }
 
 TEST(ChurnSoak, RepairStatesReachableCertifiedAndThreadInvariant) {

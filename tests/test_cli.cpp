@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 
+#include "common/parallel.hpp"
+
 namespace dfsssp {
 namespace {
 
@@ -108,6 +110,24 @@ TEST(Cli, GetCountExitsTwoNamingTheFlag) {
     EXPECT_EXIT(make({arg.c_str()}).get_count("max-layers", 8, 16),
                 testing::ExitedWithCode(2),
                 "--max-layers=.*: expected a whole number from 1 to 16")
+        << text;
+  }
+}
+
+// Every --threads flag reads get_count("threads", 0, kMaxThreads, 0): 0 is
+// one thread per core, and anything else outside 0..256 exits 2 in the
+// parser, before an ExecContext could start that many threads.
+TEST(Cli, ThreadsAreBoundedBeforeAnyPoolStarts) {
+  EXPECT_EQ(make({}).get_count("threads", 0, kMaxThreads, 0), 0u);
+  EXPECT_EQ(make({"--threads=0"}).get_count("threads", 0, kMaxThreads, 0),
+            0u);
+  EXPECT_EQ(make({"--threads=256"}).get_count("threads", 0, kMaxThreads, 0),
+            256u);
+  for (const char* text : {"-1", "abc", "257", "100000", "4294967295"}) {
+    const std::string arg = std::string("--threads=") + text;
+    EXPECT_EXIT(make({arg.c_str()}).get_count("threads", 0, kMaxThreads, 0),
+                testing::ExitedWithCode(2),
+                "--threads=.*: expected a whole number from 0 to 256")
         << text;
   }
 }

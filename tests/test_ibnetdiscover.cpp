@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "routing/dfsssp.hpp"
 #include "routing/collect.hpp"
 #include "routing/verify.hpp"
+#include "topology/generators.hpp"
 #include "topology/io.hpp"
 
 namespace dfsssp {
@@ -96,6 +100,43 @@ TEST(IbNetDiscover, RejectsEmptyOrSwitchless) {
 TEST(IbNetDiscover, PortLineOutsideBlockFails) {
   std::istringstream bad("[1] \"S-01\"[2]\n");
   EXPECT_THROW(read_ibnetdiscover(bad), std::runtime_error);
+}
+
+// read_topology_path with no format reads each file format back: the DFEL
+// that `dftopo generate` writes by default, a netfile, and this sample,
+// whose '#' header and vendid= line are neither.
+TEST(TopologyPath, SniffsEachFormat) {
+  const std::string dir = ::testing::TempDir();
+  const std::string dfel = dir + "sniff_ring.dfel";
+  const std::string netfile = dir + "sniff_ring.net";
+  const std::string dump = dir + "sniff_sample.ibnd";
+  const Topology ring = make_ring(5, 2);
+  write_edgelist(ring.net, dfel);
+  write_netfile(ring.net, netfile);
+  std::ofstream(dump) << kSample;
+
+  struct Case {
+    std::string path, family;
+    std::size_t switches, terminals;
+  };
+  for (const Case& c : {Case{dfel, "edgelist", 5, 10},
+                        Case{netfile, "netfile", 5, 10},
+                        Case{dump, "ibnetdiscover", 2, 3}}) {
+    const Topology topo = read_topology_path(c.path);
+    EXPECT_EQ(topo.meta.family, c.family) << c.path;
+    EXPECT_EQ(topo.net.num_switches(), c.switches) << c.path;
+    EXPECT_EQ(topo.net.num_terminals(), c.terminals) << c.path;
+    EXPECT_EQ(read_topology_path(c.path, c.family).meta.family, c.family);
+  }
+  // A given format is not second-guessed; an unknown one or a missing file
+  // throws.
+  EXPECT_THROW(read_topology_path(dump, "netfile"), std::runtime_error);
+  EXPECT_THROW(read_topology_path(dump, "dot"), std::runtime_error);
+  EXPECT_THROW(read_topology_path(dir + "sniff_missing.net"),
+               std::runtime_error);
+  for (const std::string& path : {dfel, netfile, dump}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -859,5 +859,74 @@ TEST(ServiceJournal, ReplayDetectsTamperedRecords) {
   std::remove(path.c_str());
 }
 
+// A switch whose links all go down while it is dead would rejoin the
+// fabric isolated. The daemon's batch vetoes the revival, journals the
+// veto, and publishes a repaired table; the journal replays bit for bit.
+TEST(ServiceCore, IsolatedSwitchRevivalIsVetoed) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "service_isolated.dfjr";
+  std::remove(path.c_str());
+  {
+    ServiceCoreOptions options;
+    options.journal = true;
+    options.journal_path = path;
+    options.journal_config = "kary-tree:4:2";
+    ServiceCore core(make_kary_ntree(4, 2), options);
+    const Network& net = core.topo().net;
+    ServiceRequest route;
+    route.kind = MsgKind::kRoute;
+    ASSERT_EQ(core.handle(route).status, Status::kOk);
+
+    const NodeId sw = net.switch_by_index(0);
+    std::vector<ChannelId> links;
+    for (ChannelId c : net.out_channels_all(sw)) {
+      if (net.is_switch_channel(c)) links.push_back(c);
+    }
+    ASSERT_EQ(core.handle(make_fault({FaultKind::kSwitchDown,
+                                      kInvalidChannel, sw}))
+                  .status,
+              Status::kOk);
+    for (ChannelId c : links) {
+      ASSERT_EQ(
+          core.handle(make_fault({FaultKind::kLinkDown, c, kInvalidNode}))
+              .status,
+          Status::kOk);
+    }
+    ASSERT_EQ(
+        core.handle(make_fault({FaultKind::kSwitchUp, kInvalidChannel, sw}))
+            .status,
+        Status::kOk);
+    ServiceRequest repair;
+    repair.kind = MsgKind::kRepair;
+    const ServiceResponse repaired = core.handle(repair);
+    ASSERT_EQ(repaired.status, Status::kOk) << repaired.error;
+    EXPECT_FALSE(net.switch_up(sw));
+    EXPECT_TRUE(net.alive_connected());
+
+    ServiceRequest jtail;
+    jtail.kind = MsgKind::kJournalTail;
+    jtail.journal_from_seq = 1;
+    jtail.journal_kind =
+        static_cast<std::uint8_t>(obs::journal::EventKind::kVeto);
+    const ServiceResponse vetoes = core.handle(jtail);
+    ASSERT_EQ(vetoes.status, Status::kOk);
+    ASSERT_EQ(vetoes.journal_records.size(), 1u);
+    EXPECT_EQ(vetoes.journal_records[0].count, 1u);
+    ASSERT_TRUE(core.journal()->sink_ok()) << core.journal()->error();
+  }
+
+  obs::journal::JournalFile file;
+  std::string error;
+  ASSERT_TRUE(obs::journal::read_journal(path, file, error)) << error;
+  const auto target = make_inprocess_target(file);
+  const ReplayResult result = replay_journal(file, *target, true);
+  EXPECT_TRUE(result.error.empty()) << result.error;
+  for (const ReplayMismatch& m : result.mismatches) {
+    ADD_FAILURE() << "ts=" << m.logical_ts << ": " << m.detail;
+  }
+  EXPECT_TRUE(result.ok);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dfsssp::service

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "obs/profile/profile.hpp"
@@ -69,6 +70,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Upper bounds of the count flags; anything outside exits 2 naming the flag.
+constexpr std::uint64_t kMaxRepetitions = 100;
+constexpr std::uint64_t kMaxTimeoutS = 24 * 3600;
+
 int usage() {
   std::fprintf(
       stderr,
@@ -78,11 +83,11 @@ int usage() {
       "  run                    run the bench roster, write BENCH_<name>.json\n"
       "    --tier=quick|full    roster tier (default quick)\n"
       "    --filter=GLOB        only benches whose name matches (fnmatch)\n"
-      "    --repetitions=N      repetitions per bench (default 3)\n"
+      "    --repetitions=N      repetitions per bench, 1..100 (default 3)\n"
       "    --out=DIR            output directory (default out)\n"
       "    --bench-dir=DIR      bench binaries (default build/bench)\n"
-      "    --threads=N          forwarded to every bench (default 0 = auto)\n"
-      "    --timeout=SECONDS    override the per-bench timeout\n"
+      "    --threads=N          forwarded to every bench (0..256, 0 = auto)\n"
+      "    --timeout=SECONDS    override the per-bench timeout (0 = keep)\n"
       "  compare BASE RUN       gate RUN's reports against BASE's\n"
       "    --mad-k=K            timing threshold in MAD-sigmas (default 3)\n"
       "    --rel-eps=F          relative timing floor (default 0.10)\n"
@@ -92,11 +97,11 @@ int usage() {
       "    --tier=quick|full    argument tier (default quick)\n"
       "    --out=DIR            output directory (default out)\n"
       "    --bench-dir=DIR      bench binaries (default build/bench)\n"
-      "    --threads=N          forwarded to the bench (default 0 = auto)\n"
+      "    --threads=N          forwarded to the bench (0..256, 0 = auto)\n"
       "    --top=N              rows in the self-time table (default 20)\n"
       "    --min-attribution=P  fail when < P%% of wall time is attributed\n"
       "                         below the root (default 0 = report only)\n"
-      "    --timeout=SECONDS    override the per-bench timeout\n"
+      "    --timeout=SECONDS    override the per-bench timeout (0 = keep)\n"
       "  list                   print the roster\n"
       "  engines                print the routing-engine registry\n"
       "  --verbose              also print PASS findings / bench stdout\n");
@@ -310,12 +315,12 @@ int cmd_run(const Cli& cli) {
   const Tier tier = tier_name == "full" ? Tier::kFull : Tier::kQuick;
   const std::string filter = cli.get("filter", "");
   const auto repetitions = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, cli.get_int("repetitions", 3)));
+      cli.get_count("repetitions", 3, kMaxRepetitions));
   const std::string out_dir = cli.get("out", "out");
   const std::string bench_dir = cli.get("bench-dir", "build/bench");
-  const std::int64_t threads =
-      std::max<std::int64_t>(0, cli.get_int("threads", 0));
-  const std::int64_t timeout_override = cli.get_int("timeout", 0);
+  const std::uint64_t threads = cli.get_count("threads", 0, kMaxThreads, 0);
+  const std::uint64_t timeout_override =
+      cli.get_count("timeout", 0, kMaxTimeoutS, 0);
   const bool verbose = cli.get_bool("verbose", false);
 
   fs::create_directories(out_dir);
@@ -573,12 +578,11 @@ int cmd_profile(const Cli& cli) {
   const Tier tier = tier_name == "full" ? Tier::kFull : Tier::kQuick;
   const std::string out_dir = cli.get("out", "out");
   const std::string bench_dir = cli.get("bench-dir", "build/bench");
-  const std::int64_t threads =
-      std::max<std::int64_t>(0, cli.get_int("threads", 0));
-  const auto top_n = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("top", 20)));
+  const std::uint64_t threads = cli.get_count("threads", 0, kMaxThreads, 0);
+  const auto top_n = static_cast<std::size_t>(cli.get_count("top", 20));
   const double min_attribution = cli.get_double("min-attribution", 0.0);
-  const std::int64_t timeout_override = cli.get_int("timeout", 0);
+  const std::uint64_t timeout_override =
+      cli.get_count("timeout", 0, kMaxTimeoutS, 0);
 
   const RosterEntry* entry = nullptr;
   static const std::vector<RosterEntry> all = roster();

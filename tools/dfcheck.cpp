@@ -22,7 +22,6 @@
 // structural lint defects, 2 = usage or I/O error.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <iostream>
 #include <sstream>
@@ -35,6 +34,7 @@
 #include "analysis/lints.hpp"
 #include "analysis/witness.hpp"
 #include "common/cli.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -56,8 +56,8 @@ int usage(const char* program) {
                "usage: %s <topology> <routing> [actions]\n"
                "\n"
                "topology (one of):\n"
-               "  --topo=FILE         netfile or ibnetdiscover dump\n"
-               "  --topo-format=F     netfile|ibnetdiscover (default: sniff)\n"
+               "  --topo=FILE         DFEL edge list, netfile or ibnetdiscover dump\n"
+               "  --topo-format=F     edgelist|netfile|ibnetdiscover (default: sniff)\n"
                "  --gen=SPEC          built-in topology:\n"
                "                        NAME, a registered config as in dfrouted\n"
                "                          --topo (dftopo list: deimos, ranger, ...)\n"
@@ -144,29 +144,6 @@ Topology generate(const std::string& spec, const ExecContext& exec) {
   // Anything else names a registered config; an unknown name throws with
   // the list of known ones.
   return build_topology_config(spec, exec);
-}
-
-Topology load_topology(const std::string& path, const std::string& format) {
-  std::string fmt = format;
-  if (fmt.empty()) {
-    // Sniff: netfiles start with switch/terminal/link keywords.
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open topology: " + path);
-    std::string line;
-    fmt = "ibnetdiscover";
-    while (std::getline(in, line)) {
-      std::istringstream ls(line);
-      std::string tok;
-      if (!(ls >> tok) || tok[0] == '#') continue;
-      if (tok == "switch" || tok == "terminal" || tok == "link") {
-        fmt = "netfile";
-      }
-      break;
-    }
-  }
-  if (fmt == "netfile") return read_netfile_path(path);
-  if (fmt == "ibnetdiscover") return read_ibnetdiscover_path(path);
-  throw std::runtime_error("unknown --topo-format '" + fmt + "'");
 }
 
 /// The "dfcheck/..." phase spans and the library's "certificate/..." spans
@@ -335,9 +312,10 @@ int run(int argc, char** argv) {
     return usage(cli.program().c_str());
   }
 
-  const ExecContext exec(static_cast<unsigned>(
-      std::max<std::int64_t>(0, cli.get_int("threads", 0))));
   // An out-of-range count exits 2 naming its flag before any work starts.
+  const auto threads =
+      static_cast<unsigned>(cli.get_count("threads", 0, kMaxThreads, 0));
+  const ExecContext exec(threads);
   const auto max_layers =
       static_cast<Layer>(cli.get_count("max-layers", 8, kMaxLayers));
   const auto witness_paths =
@@ -350,9 +328,10 @@ int run(int argc, char** argv) {
   const std::string report_file = cli.get("report", "");
   if (json || !report_file.empty()) obs::start_profiling();
 
-  Topology topo = topo_file.empty() ? generate(gen_spec, exec)
-                                    : load_topology(topo_file,
-                                                    cli.get("topo-format", ""));
+  Topology topo = topo_file.empty()
+                      ? generate(gen_spec, exec)
+                      : read_topology_path(topo_file,
+                                           cli.get("topo-format", ""));
   Report report;
   report.topology = topo.name;
   report.switches = topo.net.num_switches();
@@ -484,8 +463,7 @@ int run(int argc, char** argv) {
     config.set("topology", obs::JsonValue::string(
                                topo_file.empty() ? gen_spec : topo_file));
     config.set("routing", obs::JsonValue::string(report.routing_source));
-    config.set("threads", obs::JsonValue::integer(
-                              cli.get_int("threads", 0)));
+    config.set("threads", obs::JsonValue::integer(threads));
     config.set("lints", obs::JsonValue::boolean(want_lints));
     write_report(report, config, wall_timer.seconds(), report_file);
     if (!json) {

@@ -15,8 +15,9 @@
 // of the generation/validation phases (load in ui.perfetto.dev), the same
 // instrumentation stream the bench binaries expose.
 //
-// Formats are sniffed from the file content when --format is absent (the
-// DFEL magic, else netfile).
+// Formats are sniffed from the file content when --format is absent
+// (read_topology_path: the DFEL magic, else a netfile keyword, else
+// ibnetdiscover).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -49,27 +50,8 @@ int usage(const char* prog) {
 }
 
 ExecContext exec_from(const Cli& cli) {
-  return ExecContext(
-      static_cast<unsigned>(cli.get_int("threads", 0)));  // 0 = hardware
-}
-
-std::string sniff_format(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open: " + path);
-  unsigned char head[8] = {0};
-  in.read(reinterpret_cast<char*>(head), sizeof head);
-  std::uint64_t magic = 0;
-  for (int i = 7; i >= 0; --i) magic = (magic << 8) | head[i];
-  if (in.gcount() == 8 && magic == kEdgeListMagic) return "edgelist";
-  return "netfile";
-}
-
-Topology load_file(const std::string& path, std::string format) {
-  if (format.empty()) format = sniff_format(path);
-  if (format == "edgelist") return read_edgelist_path(path);
-  if (format == "netfile") return read_netfile_path(path);
-  if (format == "ibnetdiscover") return read_ibnetdiscover_path(path);
-  throw std::runtime_error("unknown format '" + format + "'");
+  return ExecContext(static_cast<unsigned>(
+      cli.get_count("threads", 0, kMaxThreads, 0)));  // 0 = hardware
 }
 
 /// A config name builds the config; anything else is treated as a file.
@@ -77,7 +59,7 @@ Topology load_any(const std::string& arg, const Cli& cli) {
   if (find_topology_config(arg) != nullptr) {
     return build_topology_config(arg, exec_from(cli));
   }
-  return load_file(arg, cli.get("format", ""));
+  return read_topology_path(arg, cli.get("format", ""));
 }
 
 void print_stats(const Topology& topo) {
@@ -173,7 +155,7 @@ int cmd_validate(const Cli& cli) {
     return 2;
   }
   const std::string path = cli.positional()[1];
-  Topology topo = load_file(path, cli.get("format", ""));
+  Topology topo = read_topology_path(path, cli.get("format", ""));
   // read_* already ran Network::validate(); re-run explicitly so a future
   // relaxed reader still gets caught here, then check connectivity, which
   // loaders deliberately do not enforce.
