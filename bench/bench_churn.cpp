@@ -14,12 +14,10 @@
 //     and the certificate-check failure count (always 0 on a passing run).
 //
 // Extra flags on top of the bench_util set:
-//   --topo=NAME       fabric by topology config name (`dftopo list`), as
-//                     `dfrouted --topo` takes it
-//   --k=K --n=N       k-ary n-tree fabric when --topo is absent, K 1..64,
-//                     N 1..5 (default 32-ary 2-tree: 1024 terminals)
+//   --topo=SPEC       the fabric, a topology spec as `dfrouted --topo`
+//                     takes it (default kary-tree:32:2: 1024 terminals)
 //   --events=E        churn events to generate (default 40)
-//   --event-seed=S    schedule seed
+//   --event-seed=S    schedule seed, any u64
 //   --batch=B         coalesce B consecutive events into one repair via
 //                     ChurnEngine::apply_all (default 1 = repair per event,
 //                     the daemon's behavior between fault notifications)
@@ -29,7 +27,6 @@
 #include <algorithm>
 #include <limits>
 #include <span>
-#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "fault/churn.hpp"
@@ -45,26 +42,17 @@ int main(int argc, char** argv) {
   // Table cells embed wall clock; keep them out of the dfbench quality gate.
   cfg.tables_deterministic = false;
   Cli cli(argc, argv);
-  const std::string topo_name = cli.get("topo", "");
-  const auto k = static_cast<std::uint32_t>(cli.get_count("k", 32, kMaxTreeK));
-  const auto n = static_cast<std::uint32_t>(cli.get_count("n", 2, kMaxTreeN));
+  const std::string topo_spec = cli.get("topo", "kary-tree:32:2");
   const std::uint32_t events = cli.get_count("events", 40);
-  const std::uint64_t event_seed =
-      static_cast<std::uint64_t>(cli.get_int("event-seed", 0xC4A17));
+  const std::uint64_t event_seed = cli.get_count(
+      "event-seed", 0xC4A17, std::numeric_limits<std::uint64_t>::max(), 0);
   const std::size_t batch = cli.get_count("batch", 1);
   const auto full_every = static_cast<std::uint32_t>(cli.get_count(
       "full-every", 10, std::numeric_limits<std::uint32_t>::max(), 0));
   const std::string cert_dir = cli.get("cert-dir", "");
   const ExecContext exec = cfg.exec();
 
-  Topology topo;
-  try {
-    topo = topo_name.empty() ? make_kary_ntree(k, n)
-                             : build_topology_config(topo_name, exec);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "bench_churn: %s\n", e.what());
-    return 2;
-  }
+  Topology topo = cfg.fabric(topo_spec, exec);
   std::printf("fabric: %s (%zu switches, %zu terminals, %zu channels)\n",
               topo.name.c_str(), topo.net.num_switches(),
               topo.net.num_terminals(), topo.net.num_channels());

@@ -20,16 +20,19 @@
 // exact-diffed.
 //
 // Extra flags on top of the bench_util set:
-//   --k=K --n=N       k-ary n-tree fabric, K 1..64, N 1..5 (default
-//                     16-ary 2-tree)
+//   --topo=SPEC       the fabric, a topology spec as `dfrouted --topo`
+//                     takes it (default kary-tree:16:2); the journal
+//                     header records it
 //   --events=E        churn events to generate (default 200)
-//   --event-seed=S    schedule seed
+//   --event-seed=S    schedule seed, any u64
 //   --batch=B         fault events coalesced per repair (default 4)
 //   --clients=C       concurrent lookup client threads, 1..256 (default 4)
 //   --lookups=L       total lookups across all clients (default 2000)
 //   --journal=0|1     flight recorder on the service core (default on,
 //                     so baselines price in the recording cost)
 //   --journal-file=P  also append the DFJR segment to P (for dfreplay)
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,18 +83,17 @@ int main(int argc, char** argv) {
   // Table cells embed wall clock; keep them out of the dfbench quality gate.
   cfg.tables_deterministic = false;
   Cli cli(argc, argv);
-  const auto k = static_cast<std::uint32_t>(cli.get_count("k", 16, kMaxTreeK));
-  const auto n = static_cast<std::uint32_t>(cli.get_count("n", 2, kMaxTreeN));
+  const std::string topo_spec = cli.get("topo", "kary-tree:16:2");
   const std::uint32_t events = cli.get_count("events", 200);
-  const auto event_seed =
-      static_cast<std::uint64_t>(cli.get_int("event-seed", 0x50AC));
+  const std::uint64_t event_seed = cli.get_count(
+      "event-seed", 0x50AC, std::numeric_limits<std::uint64_t>::max(), 0);
   const std::size_t batch = cli.get_count("batch", 4);
   // Each client is a thread.
   const auto clients =
       static_cast<std::uint32_t>(cli.get_count("clients", 4, kMaxThreads));
   const std::uint64_t lookups = cli.get_count("lookups", 2000);
 
-  Topology topo = make_kary_ntree(k, n);
+  Topology topo = cfg.fabric(topo_spec);
   std::printf("fabric: %s (%zu switches, %zu terminals, %zu channels)\n",
               topo.name.c_str(), topo.net.num_switches(),
               topo.net.num_terminals(), topo.net.num_channels());
@@ -108,8 +110,7 @@ int main(int argc, char** argv) {
   // lookups are never journaled).
   core_options.journal = cli.get_bool("journal", true);
   core_options.journal_path = cli.get("journal-file", "");
-  core_options.journal_config =
-      "kary-tree:" + std::to_string(k) + ":" + std::to_string(n);
+  core_options.journal_config = topo_spec;
   ServiceCore core(std::move(topo), core_options);
 
   // Initial route over the wire path.

@@ -53,10 +53,6 @@
 
 namespace dfsssp::bench {
 
-/// Bounds of the k-ary n-tree flags --k and --n (bench_churn, bench_soak).
-inline constexpr std::uint64_t kMaxTreeK = 64;
-inline constexpr std::uint64_t kMaxTreeN = 5;
-
 struct BenchConfig {
   bool full = false;
   std::uint32_t patterns = 100;
@@ -106,6 +102,18 @@ struct BenchConfig {
   /// Execution context for the parallel layers. Build it once per binary:
   /// each call spins up a fresh thread pool.
   ExecContext exec() const { return ExecContext(threads); }
+
+  /// The fabric a --topo spec names (build_topology_config). A spec that
+  /// cannot be built exits 2 with the reason, as a bad count flag does.
+  Topology fabric(const std::string& spec,
+                  const ExecContext& exec = {}) const {
+    try {
+      return build_topology_config(spec, exec);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+      std::exit(2);
+    }
+  }
 
   void emit(Table& table) {
     table.print();

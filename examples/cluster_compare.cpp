@@ -1,7 +1,10 @@
-// Compare the full engine roster on one of the real-system stand-ins —
-// the Section V/VI story in one binary.
+// Compare the full engine roster on one fabric — the Section V/VI story in
+// one binary.
 //
-//   ./cluster_compare [--system=deimos] [--patterns=100] [--ranks=0]
+//   ./cluster_compare [--topo=deimos] [--patterns=100] [--ranks=0]
+//
+// --topo takes any topology spec (odin, chic, deimos, tsubame, juropa,
+// ranger, a family spec or a file); --ranks 0..2^20, 0 = one per terminal.
 //
 // Prints routing runtime, virtual lanes, minimality, and effective
 // bisection bandwidth per engine (missing rows = the engine refused the
@@ -15,31 +18,25 @@
 #include "routing/router.hpp"
 #include "routing/verify.hpp"
 #include "sim/congestion.hpp"
-#include "topology/generators.hpp"
+#include "topology/configs.hpp"
 
 using namespace dfsssp;
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const std::string system = cli.get("system", "deimos");
   const std::uint32_t patterns = cli.get_count("patterns", 100);
+  auto ranks =
+      static_cast<std::uint32_t>(cli.get_count("ranks", 0, 1U << 20, 0));
 
   Topology topo;
-  if (system == "odin") topo = make_odin();
-  else if (system == "chic") topo = make_chic();
-  else if (system == "deimos") topo = make_deimos();
-  else if (system == "tsubame") topo = make_tsubame();
-  else if (system == "juropa") topo = make_juropa();
-  else if (system == "ranger") topo = make_ranger();
-  else {
-    std::printf("unknown --system=%s (odin|chic|deimos|tsubame|juropa|ranger)\n",
-                system.c_str());
-    return 1;
+  try {
+    topo = build_topology_config(cli.get("topo", "deimos"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cluster_compare: %s\n", e.what());
+    return 2;
   }
-
-  std::uint32_t ranks = static_cast<std::uint32_t>(cli.get_int("ranks", 0));
   if (ranks == 0) ranks = static_cast<std::uint32_t>(topo.net.num_terminals());
-  std::printf("%s stand-in: %zu switches, %zu terminals; %u ranks, %u patterns\n",
+  std::printf("%s: %zu switches, %zu terminals; %u ranks, %u patterns\n",
               topo.name.c_str(), topo.net.num_switches(),
               topo.net.num_terminals(), ranks, patterns);
 

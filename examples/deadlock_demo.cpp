@@ -3,6 +3,9 @@
 // DFSSSP's virtual-layer assignment drains the identical traffic.
 //
 //   ./deadlock_demo [--ring=5] [--shift=2] [--packets=16] [--buffers=1]
+//
+// Values outside --ring 3..1024, --shift 1..ring-1, --packets 1..65536 and
+// --buffers 1..1024 exit 2 naming the flag.
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -43,11 +46,15 @@ void run(const char* label, const Topology& topo, const RoutingTable& table,
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const std::uint32_t ring = static_cast<std::uint32_t>(cli.get_int("ring", 5));
-  const std::uint32_t shift = static_cast<std::uint32_t>(cli.get_int("shift", 2));
+  const auto ring =
+      static_cast<std::uint32_t>(cli.get_count("ring", 5, 1024, 3));
+  const auto shift =
+      static_cast<std::uint32_t>(cli.get_count("shift", 2, ring - 1));
   FlitSimOptions opts;
-  opts.packets_per_flow = static_cast<std::uint32_t>(cli.get_int("packets", 16));
-  opts.buffer_slots = static_cast<std::uint32_t>(cli.get_int("buffers", 1));
+  opts.packets_per_flow =
+      static_cast<std::uint32_t>(cli.get_count("packets", 16, 65536));
+  opts.buffer_slots =
+      static_cast<std::uint32_t>(cli.get_count("buffers", 1, 1024));
 
   Topology topo = make_ring(ring, 1);
   Flows flows = shift_pattern(topo.net, shift);

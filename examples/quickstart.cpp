@@ -1,7 +1,10 @@
 // Quickstart: build a topology, route it deadlock-free with DFSSSP, and
 // measure the effective bisection bandwidth.
 //
-//   ./quickstart [--switches=12] [--links=30] [--terminals=4] [--seed=1]
+//   ./quickstart [--topo=random:12:4:30:16:1]
+//
+// --topo takes any topology spec; the default is a random fabric of 12
+// switches with 4 terminals each, 30 links, 16 ports per switch, seed 1.
 //
 // Walks through the library's core loop:
 //   topology -> Router::route -> verify -> simulate.
@@ -13,22 +16,22 @@
 #include "routing/minhop.hpp"
 #include "routing/verify.hpp"
 #include "sim/congestion.hpp"
-#include "topology/generators.hpp"
+#include "topology/configs.hpp"
 
 using namespace dfsssp;
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const std::uint32_t switches =
-      static_cast<std::uint32_t>(cli.get_int("switches", 12));
-  const std::uint32_t links = static_cast<std::uint32_t>(cli.get_int("links", 30));
-  const std::uint32_t terminals =
-      static_cast<std::uint32_t>(cli.get_int("terminals", 4));
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
 
   // 1. An irregular network - the case the paper targets: no specialized
   //    engine (fat-tree, DOR) can route it, but DFSSSP can.
-  Topology topo = make_random(switches, terminals, links, 16, rng);
+  Topology topo;
+  try {
+    topo = build_topology_config(cli.get("topo", "random:12:4:30:16:1"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
   std::printf("topology %s: %zu switches, %zu terminals, %zu channels\n",
               topo.name.c_str(), topo.net.num_switches(),
               topo.net.num_terminals(), topo.net.num_channels());

@@ -1,12 +1,15 @@
 // Swiss-army CLI around the library: generate or load a topology, route it
 // with any engine, print statistics, and export DOT/netfile renderings.
 //
-//   ./topology_explorer --family=torus --dims=4x4 --terminals=2
-//     --router=DFSSSP --dot=out.dot --netfile=out.net
-//   ./topology_explorer --load=my.net --router=LASH
+//   ./topology_explorer --topo=torus:4x4:2 --router=DFSSSP --dot=out.dot
+//     --netfile=out.net
+//   ./topology_explorer --topo=my.net --router=LASH
+//
+// --topo takes any topology spec (build_topology_config): a registered
+// config, a family spec, or a netfile, ibnetdiscover or DFEL file. The
+// default is random:16:2:40:16:1.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,89 +20,17 @@
 #include "routing/router.hpp"
 #include "routing/verify.hpp"
 #include "sim/congestion.hpp"
-#include "topology/generators.hpp"
+#include "topology/configs.hpp"
 #include "topology/io.hpp"
 #include "topology/metrics.hpp"
 
 using namespace dfsssp;
 
-namespace {
-
-std::vector<std::uint32_t> parse_dims(const std::string& spec) {
-  std::vector<std::uint32_t> dims;
-  std::stringstream ss(spec);
-  std::string part;
-  while (std::getline(ss, part, 'x')) {
-    dims.push_back(static_cast<std::uint32_t>(std::stoul(part)));
-  }
-  return dims;
-}
-
-Topology build(const Cli& cli) {
-  if (cli.has("load")) return read_netfile_path(cli.get("load", ""));
-  if (cli.has("load-ib")) return read_ibnetdiscover_path(cli.get("load-ib", ""));
-  const std::string family = cli.get("family", "random");
-  const std::uint32_t terminals =
-      static_cast<std::uint32_t>(cli.get_int("terminals", 2));
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
-  if (family == "ring") {
-    return make_ring(static_cast<std::uint32_t>(cli.get_int("switches", 8)),
-                     terminals);
-  }
-  if (family == "torus" || family == "mesh") {
-    auto dims = parse_dims(cli.get("dims", "4x4"));
-    return make_torus(dims, terminals, family == "torus");
-  }
-  if (family == "hypercube") {
-    return make_hypercube(static_cast<std::uint32_t>(cli.get_int("dim", 4)),
-                          terminals);
-  }
-  if (family == "tree") {
-    return make_kary_ntree(static_cast<std::uint32_t>(cli.get_int("k", 4)),
-                           static_cast<std::uint32_t>(cli.get_int("n", 2)));
-  }
-  if (family == "xgft") {
-    auto ms = parse_dims(cli.get("ms", "4x4"));
-    auto ws = parse_dims(cli.get("ws", "2x2"));
-    return make_xgft(static_cast<std::uint32_t>(ms.size()), ms, ws);
-  }
-  if (family == "kautz") {
-    return make_kautz(static_cast<std::uint32_t>(cli.get_int("b", 3)),
-                      static_cast<std::uint32_t>(cli.get_int("n", 3)),
-                      static_cast<std::uint32_t>(cli.get_int("endpoints", 256)));
-  }
-  if (family == "dragonfly") {
-    return make_dragonfly(static_cast<std::uint32_t>(cli.get_int("a", 4)),
-                          terminals,
-                          static_cast<std::uint32_t>(cli.get_int("h", 2)),
-                          static_cast<std::uint32_t>(cli.get_int("g", 9)));
-  }
-  if (family == "hyperx") {
-    auto dims = parse_dims(cli.get("dims", "4x4"));
-    return make_hyperx(dims, terminals);
-  }
-  if (family == "complete") {
-    return make_fully_connected(
-        static_cast<std::uint32_t>(cli.get_int("switches", 8)), terminals);
-  }
-  if (family == "random") {
-    return make_random(static_cast<std::uint32_t>(cli.get_int("switches", 16)),
-                       terminals,
-                       static_cast<std::uint32_t>(cli.get_int("links", 40)),
-                       static_cast<std::uint32_t>(cli.get_int("ports", 16)),
-                       rng);
-  }
-  throw std::runtime_error("unknown --family=" + family);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: topology_explorer [--family=ring|torus|mesh|hypercube|tree|"
-        "xgft|kautz|dragonfly|hyperx|complete|random] [--load=FILE]\n"
+        "usage: topology_explorer [--topo=SPEC]\n"
         "  [--router=MinHop|Up*/Down*|FatTree|DOR|LASH|SSSP|DFSSSP|all]\n"
         "  [--dot=FILE] [--netfile=FILE] [--patterns=N] [--metrics]\n"
         "  [--save-dump=FILE] [--load-dump=FILE] [--cdg-dot=FILE]\n");
@@ -107,10 +38,10 @@ int main(int argc, char** argv) {
   }
   Topology topo;
   try {
-    topo = build(cli);
+    topo = build_topology_config(cli.get("topo", "random:16:2:40:16:1"));
   } catch (const std::exception& e) {
-    std::printf("cannot build topology: %s\n", e.what());
-    return 1;
+    std::fprintf(stderr, "topology_explorer: %s\n", e.what());
+    return 2;
   }
   std::printf("%s: %zu switches, %zu terminals, %zu directed channels\n",
               topo.name.c_str(), topo.net.num_switches(),

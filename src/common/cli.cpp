@@ -52,18 +52,23 @@ bool Cli::get_bool(const std::string& key, bool fallback) const {
   return v == "1" || v == "true" || v == "yes" || v == "on";
 }
 
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::uint64_t Cli::get_count(const std::string& key, std::uint64_t fallback,
                              std::uint64_t max, std::uint64_t min) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   const std::string& text = it->second;
-  std::uint64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec == std::errc() && end == text.data() + text.size() && value >= min &&
-      value <= max) {
-    return value;
-  }
+  if (const auto value = parse_count(text, min, max)) return *value;
   std::fprintf(stderr, "--%s=%s: expected a whole number from %llu to %llu\n",
                key.c_str(), text.c_str(), static_cast<unsigned long long>(min),
                static_cast<unsigned long long>(max));

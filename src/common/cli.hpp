@@ -7,10 +7,18 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dfsssp {
+
+/// `text` as a whole decimal number in [min, max] (no sign, no other
+/// characters), or nullopt: the one strict parse of a count, behind
+/// Cli::get_count and the fields of a topology spec.
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t min, std::uint64_t max);
 
 class Cli {
  public:

@@ -116,7 +116,7 @@ class Journal {
     std::uint32_t capacity = 8192;  // ring size, records
     std::string path;               // on-disk segment; empty = memory-only
     // Header metadata, so a segment is self-describing for dfreplay:
-    std::string topo_config;  // configs.hpp registry key or kary-tree:K:N
+    std::string topo_config;  // topology spec (build_topology_config)
     std::string engine;       // routing engine registry key
     std::uint16_t max_layers = 0;  // the core's default layer budget
   };

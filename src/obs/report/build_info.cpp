@@ -1,8 +1,8 @@
 #include "obs/report/build_info.hpp"
 
-#ifndef DFS_GIT_REV
-#define DFS_GIT_REV "unknown"
-#endif
+// Generated at build time by src/obs/git_rev.cmake: defines DFS_GIT_REV.
+#include "git_rev.h"
+
 #ifndef DFS_BUILD_FLAGS
 #define DFS_BUILD_FLAGS "unknown"
 #endif

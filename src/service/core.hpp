@@ -54,8 +54,11 @@ struct ServiceCoreOptions {
   std::uint32_t journal_capacity = 8192;  // ring size, records
   /// Append-only DFJR segment path; empty = in-memory ring only.
   std::string journal_path;
-  /// Topology config key (configs.hpp registry name or "kary-tree:K:N")
-  /// recorded in the segment header so dfreplay can rebuild the fabric.
+  /// The topology spec the core's fabric was built from (what
+  /// build_topology_config took: a config name, a family spec such as
+  /// "kary-tree:4:2", or a file), recorded in the segment header so
+  /// dfreplay can rebuild the fabric. The core takes a built Topology, so
+  /// the spec travels beside it.
   std::string journal_config;
 };
 

@@ -7,12 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
 
 #include "common/frame.hpp"
 #include "service/core.hpp"
 #include "topology/configs.hpp"
-#include "topology/generators.hpp"
 
 namespace dfsssp::service {
 namespace {
@@ -93,7 +91,7 @@ class InProcessTarget final : public ReplayTarget {
     opts.journal = true;
     opts.journal_config = file.topo_config;
     core_ = std::make_unique<ServiceCore>(
-        build_replay_topology(file.topo_config), opts);
+        build_topology_config(file.topo_config), opts);
   }
 
   ServiceResponse call(const ServiceRequest& req) override {
@@ -161,30 +159,6 @@ class SocketTarget final : public ReplayTarget {
 };
 
 }  // namespace
-
-Topology build_replay_topology(const std::string& topo_config) {
-  // "kary-tree:<k>:<n>" is how bench_soak names its fabric, which is not
-  // a registry config (the registry's tree-N keys fix k and n per
-  // endpoint count).
-  constexpr const char* kTreePrefix = "kary-tree:";
-  if (topo_config.rfind(kTreePrefix, 0) == 0) {
-    const std::string spec = topo_config.substr(std::strlen(kTreePrefix));
-    const std::size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("bad kary-tree spec '" + topo_config +
-                                  "' (want kary-tree:<k>:<n>)");
-    }
-    const unsigned long k = std::stoul(spec.substr(0, colon));
-    const unsigned long n = std::stoul(spec.substr(colon + 1));
-    if (k < 2 || n < 1 || k > 1024 || n > 8) {
-      throw std::invalid_argument("bad kary-tree parameters in '" +
-                                  topo_config + "'");
-    }
-    return make_kary_ntree(static_cast<std::uint32_t>(k),
-                           static_cast<std::uint32_t>(n));
-  }
-  return build_topology_config(topo_config);
-}
 
 std::unique_ptr<ReplayTarget> make_inprocess_target(
     const obs::journal::JournalFile& file) {

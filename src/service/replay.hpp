@@ -20,7 +20,7 @@
 // forwarding snapshot + per-generation certificate hash" guarantee.
 //
 // Two targets: in-process (a fresh core built from the journal header's
-// topo config) and socket (a live dfrouted started with --journal on the
+// topology spec) and socket (a live dfrouted started with --journal on the
 // same config, drained over the wire via journal_tail).
 #pragma once
 
@@ -31,7 +31,6 @@
 
 #include "obs/journal/journal.hpp"
 #include "service/envelope.hpp"
-#include "topology/topology.hpp"
 
 namespace dfsssp::service {
 
@@ -74,13 +73,9 @@ struct ReplayResult {
 ReplayResult replay_journal(const obs::journal::JournalFile& file,
                             ReplayTarget& target, bool verify);
 
-/// Rebuilds the fabric named by a journal header: a configs.hpp registry
-/// key, or the "kary-tree:<k>:<n>" spelling bench_soak records for its
-/// non-registry fabric. Throws std::invalid_argument on an unknown spec.
-Topology build_replay_topology(const std::string& topo_config);
-
 /// A fresh in-process ServiceCore configured from the journal header
-/// (same engine, same layer budget, journaling on, memory-only ring).
+/// (its topology spec built by build_topology_config, same engine, same
+/// layer budget, journaling on, memory-only ring).
 std::unique_ptr<ReplayTarget> make_inprocess_target(
     const obs::journal::JournalFile& file);
 

@@ -1,12 +1,18 @@
 #include "topology/configs.hpp"
 
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/narrow.hpp"
+#include "common/rng.hpp"
 
 #include "topology/chunked.hpp"
 #include "topology/generators.hpp"
+#include "topology/io.hpp"
 
 namespace dfsssp {
 
@@ -166,6 +172,104 @@ std::vector<TopoConfig> make_registry() {
   return cfgs;
 }
 
+/// "a:b::c" -> {"a", "b", "", "c"}: an empty field stays, to be refused.
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out(1);
+  for (const char c : s) {
+    if (c == sep) {
+      out.emplace_back();
+    } else {
+      out.back() += c;
+    }
+  }
+  return out;
+}
+
+/// A family spec ("ring:6:2") read against its family's form
+/// ("ring:<switches>:<terminals>"): field i is named by part i of the form.
+class Fields {
+ public:
+  Fields(const std::string& spec, const char* form)
+      : fields_(split(spec, ':')), names_(split(form, ':')) {
+    if (fields_.size() != names_.size()) {
+      throw std::invalid_argument("want " + std::string(form));
+    }
+  }
+
+  /// Field i (1 = the first after the family) as a whole decimal number in
+  /// [min, max].
+  std::uint32_t num(std::size_t i, std::uint32_t min = 0,
+                    std::uint32_t max = UINT32_MAX) const {
+    return whole(fields_[i], names_[i], min, max);
+  }
+
+  /// Field i as an 'x'-separated list of whole numbers ("4x4").
+  std::vector<std::uint32_t> dims(std::size_t i) const {
+    std::vector<std::uint32_t> out;
+    for (const std::string& d : split(fields_[i], 'x')) {
+      out.push_back(whole(d, names_[i], 0, UINT32_MAX));
+    }
+    return out;
+  }
+
+ private:
+  static std::uint32_t whole(const std::string& text, const std::string& name,
+                             std::uint32_t min, std::uint32_t max) {
+    const std::optional<std::uint64_t> v = parse_count(text, min, max);
+    if (!v) {
+      throw std::invalid_argument(
+          name + " '" + text + "': expected a whole number from " +
+          std::to_string(min) + " to " + std::to_string(max));
+    }
+    return checked_u32(*v, "topology spec field");
+  }
+
+  std::vector<std::string> fields_, names_;
+};
+
+/// A generator family: its spec form and the generator call.
+struct Family {
+  const char* form;
+  Topology (*build)(const Fields&);
+};
+
+const Family kFamilies[] = {
+    {"ring:<switches>:<terminals>",
+     [](const Fields& f) { return make_ring(f.num(1), f.num(2)); }},
+    {"torus:<dims>:<terminals>",
+     [](const Fields& f) { return make_torus(f.dims(1), f.num(2), true); }},
+    {"mesh:<dims>:<terminals>",
+     [](const Fields& f) { return make_torus(f.dims(1), f.num(2), false); }},
+    {"hypercube:<dimension>:<terminals>",
+     [](const Fields& f) { return make_hypercube(f.num(1), f.num(2)); }},
+    {"kary-tree:<k>:<n>",
+     [](const Fields& f) {
+       return make_kary_ntree(f.num(1, 1, 64), f.num(2, 1, 5));
+     }},
+    {"xgft:<m1>x...x<mh>:<w1>x...x<wh>",
+     [](const Fields& f) {
+       const std::vector<std::uint32_t> ms = f.dims(1);
+       return make_xgft(checked_u32(ms.size(), "xgft height"), ms, f.dims(2));
+     }},
+    {"kautz:<b>:<n>:<terminals>",
+     [](const Fields& f) { return make_kautz(f.num(1), f.num(2), f.num(3)); }},
+    {"dragonfly:<a>:<p>:<h>:<g>",
+     [](const Fields& f) {
+       return make_dragonfly(f.num(1), f.num(2), f.num(3), f.num(4));
+     }},
+    {"hyperx:<dims>:<terminals>",
+     [](const Fields& f) { return make_hyperx(f.dims(1), f.num(2)); }},
+    {"complete:<switches>:<terminals>",
+     [](const Fields& f) { return make_fully_connected(f.num(1), f.num(2)); }},
+    // The seed is offset as dfcheck has always drawn it, so a random spec
+    // names the same fabric in every version.
+    {"random:<switches>:<terminals>:<links>:<ports>:<seed>",
+     [](const Fields& f) {
+       Rng rng(0xDFC0'0000ULL + f.num(5));
+       return make_random(f.num(1), f.num(2), f.num(3), f.num(4), rng);
+     }},
+};
+
 }  // namespace
 
 const std::vector<TopoConfig>& topology_configs() {
@@ -180,18 +284,38 @@ const TopoConfig* find_topology_config(const std::string& name) {
   return nullptr;
 }
 
-Topology build_topology_config(const std::string& name,
+Topology build_topology_config(const std::string& spec,
                                const ExecContext& exec) {
-  const TopoConfig* cfg = find_topology_config(name);
-  if (cfg == nullptr) {
-    std::string known;
-    for (const TopoConfig& c : topology_configs()) {
-      known += known.empty() ? c.name : ", " + c.name;
-    }
-    throw std::invalid_argument("unknown topology config '" + name +
-                                "' (known: " + known + ")");
+  if (const TopoConfig* cfg = find_topology_config(spec)) {
+    return cfg->build(exec);
   }
-  return cfg->build(exec);
+  // "ring:6:2" names the family "ring:"; a spec without ':' names none.
+  const std::string family = spec.substr(0, spec.find(':') + 1);
+  for (const Family& f : kFamilies) {
+    if (family.empty() || !std::string_view(f.form).starts_with(family)) {
+      continue;
+    }
+    try {
+      return f.build(Fields(spec, f.form));
+    } catch (const std::invalid_argument& e) {
+      // Field errors and the generator's own argument errors.
+      throw std::invalid_argument("topology spec '" + spec + "': " +
+                                  e.what());
+    }
+  }
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(spec, ec)) {
+    return read_topology_path(spec);
+  }
+  std::string known;
+  for (const TopoConfig& c : topology_configs()) {
+    known += (known.empty() ? "" : ", ") + c.name;
+  }
+  known += "; families:";
+  for (const Family& f : kFamilies) known += std::string(" ") + f.form;
+  throw std::invalid_argument("unknown topology spec '" + spec +
+                              "': not a config, a family spec or a file "
+                              "(known: " + known + ")");
 }
 
 Topology make_warehouse_dragonfly(std::uint32_t a, std::uint32_t h,

@@ -1,4 +1,5 @@
-// Named topology configurations shared by benches, dftopo and tests.
+// Named topology configurations shared by benches, dftopo and tests, and
+// the one resolver of a topology spec (build_topology_config).
 //
 // The per-figure generator parameter tables used to be duplicated across
 // bench_util.hpp and the bench roster; they live here once. A config is a
@@ -32,9 +33,19 @@ const std::vector<TopoConfig>& topology_configs();
 /// Nullptr when `name` is not registered.
 const TopoConfig* find_topology_config(const std::string& name);
 
-/// Builds a registered config; throws std::invalid_argument listing the
-/// known names when `name` is not registered.
-Topology build_topology_config(const std::string& name,
+/// The one resolver of a topology spec, the string every tool, bench and
+/// example takes as --topo and a journal header records. Tried in order:
+///   1. a registered config name ("deimos");
+///   2. a family spec "<family>:<fields>" ("kary-tree:4:2", "torus:4x4:2",
+///      "random:32:4:80:8:7"; the forms are in docs/verification.md), each
+///      field a whole decimal number and <dims> an 'x'-separated list;
+///   3. an existing topology file, read by read_topology_path.
+/// So a name beats a file of the same name, and a family spec a file whose
+/// name looks like one ("./deimos" reads the file). Throws
+/// std::invalid_argument naming the spec (and, when nothing matched,
+/// listing the known configs and family forms); a file the reader rejects
+/// throws what the reader throws.
+Topology build_topology_config(const std::string& spec,
                                const ExecContext& exec = {});
 
 /// Table I of the paper, as data: per nominal endpoint count the XGFT

@@ -263,9 +263,20 @@ Topology read_edgelist(std::istream& in, const std::string& name) {
   const std::uint64_t num_links = get_u64(header + 16);
   const std::uint64_t num_terminals = get_u64(header + 24);
 
+  // Untrusted counts size no allocation: reserve what the rest of the
+  // stream can hold (nothing when it cannot seek), so a header claiming
+  // more fails below as a truncated section.
+  std::uint64_t body_bytes = 0;
+  const std::istream::pos_type body = in.tellg();
+  if (body != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const std::streamoff rest = in.tellg() - body;
+    body_bytes = rest > 0 ? static_cast<std::uint64_t>(rest) : 0;
+    in.seekg(body);
+  }
+  in.clear();
   NetworkBuilder builder(num_switches);
-  builder.reserve_links(num_links);
-  builder.reserve_terminals(num_terminals);
+  builder.reserve_links(std::min(num_links, body_bytes / 8));
+  builder.reserve_terminals(std::min(num_terminals, body_bytes / 4));
   try {
     std::vector<unsigned char> buf;
     for (std::uint64_t done = 0; done < num_links; done += kEdgeListBatch) {
@@ -486,14 +497,11 @@ std::string sniff_format(const std::string& path) {
 
 }  // namespace
 
-Topology read_topology_path(const std::string& path,
-                            const std::string& format) {
-  const std::string fmt = format.empty() ? sniff_format(path) : format;
+Topology read_topology_path(const std::string& path) {
+  const std::string fmt = sniff_format(path);
   if (fmt == "edgelist") return read_edgelist_path(path);
   if (fmt == "netfile") return read_netfile_path(path);
-  if (fmt == "ibnetdiscover") return read_ibnetdiscover_path(path);
-  throw std::runtime_error("unknown topology format '" + fmt +
-                           "' (edgelist|netfile|ibnetdiscover)");
+  return read_ibnetdiscover_path(path);
 }
 
 }  // namespace dfsssp

@@ -106,12 +106,10 @@ Topology read_ibnetdiscover(std::istream& in,
                             const std::string& name = "ibnetdiscover");
 Topology read_ibnetdiscover_path(const std::string& path);
 
-/// Reads a topology file in `format` (edgelist|netfile|ibnetdiscover).
-/// With no format, sniffs it: the DFEL magic means edgelist, a first token
-/// (outside '#' comments) of switch/terminal/link means netfile, anything
-/// else ibnetdiscover. Throws std::runtime_error on an unknown format, a
-/// missing file, or whatever the chosen reader rejects.
-Topology read_topology_path(const std::string& path,
-                            const std::string& format = "");
+/// Reads a topology file in the format its content names: the DFEL magic
+/// means edgelist, a first token (outside '#' comments) of
+/// switch/terminal/link means netfile, anything else ibnetdiscover. Throws
+/// std::runtime_error on a missing file or whatever that reader rejects.
+Topology read_topology_path(const std::string& path);
 
 }  // namespace dfsssp

@@ -126,6 +126,23 @@ TEST(EdgeList, OutOfRangeEndpointThrows) {
   EXPECT_THROW(read_edgelist_path(file.path()), std::runtime_error);
 }
 
+// The header's counts must not size an allocation: a 32-byte file whose
+// header claims 2^36 links fails as a truncated link section.
+TEST(EdgeList, HeaderCountsBeyondTheFileAreTruncation) {
+  std::string bytes(32, '\0');
+  const auto put = [&bytes](std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  put(0, kEdgeListMagic);
+  put(8, 4);            // switches
+  put(16, 1ULL << 36);  // links
+  put(24, 0);           // terminals
+  std::istringstream in(bytes);
+  EXPECT_THROW(read_edgelist(in), std::runtime_error);
+}
+
 TEST(EdgeList, MissingFileThrows) {
   EXPECT_THROW(read_edgelist_path("/nonexistent/nope.dfel"),
                std::runtime_error);

@@ -1,8 +1,9 @@
 // dfcheck — static routing analyzer with machine-checkable deadlock-freedom
 // certificates, the role OpenSM's ibdmchk plays for real fabrics.
 //
-// Takes a topology (file or built-in generator) plus a routing (forwarding
-// dump or in-memory engine run) and:
+// Takes a topology spec (a registered config, a generator family spec or a
+// topology file; see build_topology_config) plus a routing (forwarding dump
+// or in-memory engine run) and:
 //   * default: decides deadlock freedom; on failure prints a minimal
 //     witness cycle with the inducing paths per CDG edge;
 //   * --cert-out:   emits a certificate (per layer, a topological order of
@@ -24,7 +25,6 @@
 #include <cstdio>
 #include <memory>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -35,7 +35,6 @@
 #include "analysis/witness.hpp"
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report/build_info.hpp"
@@ -45,8 +44,6 @@
 #include "routing/registry.hpp"
 #include "routing/router.hpp"
 #include "topology/configs.hpp"
-#include "topology/generators.hpp"
-#include "topology/io.hpp"
 
 namespace dfsssp {
 namespace {
@@ -55,16 +52,11 @@ int usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s <topology> <routing> [actions]\n"
                "\n"
-               "topology (one of):\n"
-               "  --topo=FILE         DFEL edge list, netfile or ibnetdiscover dump\n"
-               "  --topo-format=F     edgelist|netfile|ibnetdiscover (default: sniff)\n"
-               "  --gen=SPEC          built-in topology:\n"
-               "                        NAME, a registered config as in dfrouted\n"
-               "                          --topo (dftopo list: deimos, ranger, ...)\n"
-               "                        ring:<switches>:<terminals>\n"
-               "                        torus:<a>x<b>[x<c>]:<terminals>\n"
-               "                        tree:<k>:<n>\n"
-               "                        random:<sw>:<term>:<links>:<ports>:<seed>\n"
+               "topology:\n"
+               "  --topo=SPEC         a config (dftopo list: deimos, ...), a family\n"
+               "                      spec (ring:<switches>:<terminals>,\n"
+               "                      kary-tree:<k>:<n>, ...; docs/verification.md)\n"
+               "                      or a DFEL, netfile or ibnetdiscover file\n"
                "routing (one of):\n"
                "  --dump=FILE         read a forwarding dump\n"
                "  --route=ENGINE      engine registry key (minhop|updown|fattree|\n"
@@ -82,68 +74,6 @@ int usage(const char* program) {
                "  --trace=FILE        Chrome trace_event span log (Perfetto)\n",
                program);
   return 2;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(s);
-  while (std::getline(in, item, sep)) out.push_back(item);
-  return out;
-}
-
-std::uint32_t parse_u32(const std::string& tok, const std::string& what) {
-  std::size_t used = 0;
-  unsigned long v = 0;
-  try {
-    v = std::stoul(tok, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (used != tok.size() || v > 0xFFFFFFFFul) {
-    throw std::runtime_error("bad " + what + " '" + tok + "'");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-Topology generate(const std::string& spec, const ExecContext& exec) {
-  const auto parts = split(spec, ':');
-  if (parts.empty()) throw std::runtime_error("empty --gen spec");
-  const std::string& family = parts[0];
-  auto want = [&](std::size_t n) {
-    if (parts.size() != n + 1) {
-      throw std::runtime_error("--gen=" + family + " needs " +
-                               std::to_string(n) + " ':'-separated fields");
-    }
-  };
-  if (family == "ring") {
-    want(2);
-    return make_ring(parse_u32(parts[1], "switch count"),
-                     parse_u32(parts[2], "terminal count"));
-  }
-  if (family == "torus") {
-    want(2);
-    std::vector<std::uint32_t> dims;
-    for (const std::string& d : split(parts[1], 'x')) {
-      dims.push_back(parse_u32(d, "torus dimension"));
-    }
-    return make_torus(dims, parse_u32(parts[2], "terminal count"), true);
-  }
-  if (family == "tree") {
-    want(2);
-    return make_kary_ntree(parse_u32(parts[1], "k"), parse_u32(parts[2], "n"));
-  }
-  if (family == "random") {
-    want(5);
-    Rng rng(0xDFC0'0000ULL + parse_u32(parts[5], "seed"));
-    return make_random(parse_u32(parts[1], "switch count"),
-                       parse_u32(parts[2], "terminal count"),
-                       parse_u32(parts[3], "link count"),
-                       parse_u32(parts[4], "port count"), rng);
-  }
-  // Anything else names a registered config; an unknown name throws with
-  // the list of known ones.
-  return build_topology_config(spec, exec);
 }
 
 /// The "dfcheck/..." phase spans and the library's "certificate/..." spans
@@ -303,12 +233,10 @@ int run(int argc, char** argv) {
   if (cli.get_bool("help", false)) return usage(cli.program().c_str());
   Timer wall_timer;
 
-  const std::string topo_file = cli.get("topo", "");
-  const std::string gen_spec = cli.get("gen", "");
+  const std::string topo_spec = cli.get("topo", "");
   const std::string dump_file = cli.get("dump", "");
   const std::string engine = cli.get("route", "");
-  if ((topo_file.empty() == gen_spec.empty()) ||
-      (dump_file.empty() == engine.empty())) {
+  if (topo_spec.empty() || (dump_file.empty() == engine.empty())) {
     return usage(cli.program().c_str());
   }
 
@@ -328,10 +256,7 @@ int run(int argc, char** argv) {
   const std::string report_file = cli.get("report", "");
   if (json || !report_file.empty()) obs::start_profiling();
 
-  Topology topo = topo_file.empty()
-                      ? generate(gen_spec, exec)
-                      : read_topology_path(topo_file,
-                                           cli.get("topo-format", ""));
+  Topology topo = build_topology_config(topo_spec, exec);
   Report report;
   report.topology = topo.name;
   report.switches = topo.net.num_switches();
@@ -460,8 +385,7 @@ int run(int argc, char** argv) {
 
   if (!report_file.empty()) {
     obs::JsonValue config = obs::JsonValue::object();
-    config.set("topology", obs::JsonValue::string(
-                               topo_file.empty() ? gen_spec : topo_file));
+    config.set("topology", obs::JsonValue::string(topo_spec));
     config.set("routing", obs::JsonValue::string(report.routing_source));
     config.set("threads", obs::JsonValue::integer(threads));
     config.set("lints", obs::JsonValue::boolean(want_lints));

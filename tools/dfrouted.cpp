@@ -7,7 +7,7 @@
 // long-lived state, short-lived requests.
 //
 //   dfrouted --topo=deimos --engine=dfsssp --socket=/tmp/dfrouted.sock
-//   dfrouted --topo=xgft-4096 --pipe            # stdin/stdout framing
+//   dfrouted --topo=kary-tree:4:2 --pipe        # stdin/stdout framing
 //
 // In --pipe mode the daemon serves exactly one framed stream on
 // stdin/stdout and exits 0 on EOF — the mode tests and CI drive. SIGTERM
@@ -34,9 +34,11 @@ void on_sigterm(int) { g_stop = 1; }
 int usage(const char* prog) {
   std::fprintf(
       stderr,
-      "usage: %s --topo=<config> [--engine=<name>] [--max-layers=N]\n"
+      "usage: %s --topo=<spec> [--engine=<name>] [--max-layers=N]\n"
       "          (--socket=<path> | --pipe)\n"
-      "  --topo        topology config name (see `dftopo list`)\n"
+      "  --topo        topology spec: a config (see `dftopo list`), a\n"
+      "                family spec such as kary-tree:4:2, or a topology\n"
+      "                file (all forms: docs/verification.md)\n"
       "  --engine      routing engine registry key (default dfsssp;\n"
       "                see `dfbench engines`)\n"
       "  --max-layers  virtual-layer budget, 1 to 16 (default 8)\n"
@@ -55,10 +57,10 @@ int usage(const char* prog) {
 int main(int argc, char** argv) {
   using namespace dfsssp;
   Cli cli(argc, argv);
-  const std::string topo_name = cli.get("topo", "");
+  const std::string topo_spec = cli.get("topo", "");
   const std::string socket_path = cli.get("socket", "");
   const bool pipe_mode = cli.get_bool("pipe", false);
-  if (topo_name.empty() || (socket_path.empty() && !pipe_mode)) {
+  if (topo_spec.empty() || (socket_path.empty() && !pipe_mode)) {
     return usage(cli.program().c_str());
   }
 
@@ -70,10 +72,10 @@ int main(int argc, char** argv) {
   core_options.journal =
       cli.get_bool("journal", false) || !core_options.journal_path.empty();
   core_options.journal_capacity = cli.get_count("journal-capacity", 8192);
-  core_options.journal_config = topo_name;
+  core_options.journal_config = topo_spec;
 
   try {
-    Topology topo = build_topology_config(topo_name);
+    Topology topo = build_topology_config(topo_spec);
     service::ServiceCore core(std::move(topo), core_options);
 
     std::signal(SIGTERM, on_sigterm);

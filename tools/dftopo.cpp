@@ -6,18 +6,18 @@
 // structural check.
 //
 //   dftopo list
-//   dftopo generate <config> --out=FILE [--format=edgelist|netfile|dot]
+//   dftopo generate <spec> --out=FILE [--format=edgelist|netfile|dot]
 //                   [--threads=N] [--no-validate]
-//   dftopo validate <file> [--format=edgelist|netfile|ibnetdiscover]
-//   dftopo stats <config-or-file> [--threads=N]
+//   dftopo validate <spec> [--threads=N]
+//   dftopo stats <spec> [--threads=N]
 //
 // Every command also accepts --trace=FILE: a Chrome trace_event span log
 // of the generation/validation phases (load in ui.perfetto.dev), the same
 // instrumentation stream the bench binaries expose.
 //
-// Formats are sniffed from the file content when --format is absent
-// (read_topology_path: the DFEL magic, else a netfile keyword, else
-// ibnetdiscover).
+// <spec> is a topology spec (build_topology_config): a registered config,
+// a family spec such as kary-tree:4:2, or a topology file, its format
+// sniffed. generate's --format names the output format.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -39,12 +39,14 @@ int usage(const char* prog) {
       stderr,
       "usage: %s <command> ...\n"
       "  list                         known topology configs\n"
-      "  generate <config> --out=FILE [--format=edgelist|netfile|dot]\n"
+      "  generate <spec> --out=FILE   [--format=edgelist|netfile|dot]\n"
       "                               [--threads=N] [--no-validate]\n"
-      "  validate <file>              [--format=edgelist|netfile|ibnetdiscover]\n"
-      "  stats <config-or-file>       [--threads=N]\n"
+      "  validate <spec>              [--threads=N]\n"
+      "  stats <spec>                 [--threads=N]\n"
       "  --trace=FILE                 Chrome trace_event span log (any "
-      "command)\n",
+      "command)\n"
+      "<spec>: a config from `list`, a family spec (kary-tree:4:2, ...; see\n"
+      "docs/verification.md) or a DFEL, netfile or ibnetdiscover file\n",
       prog);
   return 2;
 }
@@ -52,14 +54,6 @@ int usage(const char* prog) {
 ExecContext exec_from(const Cli& cli) {
   return ExecContext(static_cast<unsigned>(
       cli.get_count("threads", 0, kMaxThreads, 0)));  // 0 = hardware
-}
-
-/// A config name builds the config; anything else is treated as a file.
-Topology load_any(const std::string& arg, const Cli& cli) {
-  if (find_topology_config(arg) != nullptr) {
-    return build_topology_config(arg, exec_from(cli));
-  }
-  return read_topology_path(arg, cli.get("format", ""));
 }
 
 void print_stats(const Topology& topo) {
@@ -106,10 +100,10 @@ int cmd_list() {
 
 int cmd_generate(const Cli& cli) {
   if (cli.positional().size() < 2) {
-    std::fprintf(stderr, "generate: missing <config>\n");
+    std::fprintf(stderr, "generate: missing <spec>\n");
     return 2;
   }
-  const std::string config = cli.positional()[1];
+  const std::string spec = cli.positional()[1];
   const std::string out = cli.get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: missing --out=FILE\n");
@@ -117,13 +111,13 @@ int cmd_generate(const Cli& cli) {
   }
   const std::string format = cli.get("format", "edgelist");
   Timer timer;
-  Topology topo = build_topology_config(config, exec_from(cli));
+  Topology topo = build_topology_config(spec, exec_from(cli));
   const double gen_ms = timer.milliseconds();
   if (!cli.get_bool("no-validate", false)) {
     topo.net.validate();
     if (!topo.net.connected()) {
       std::fprintf(stderr, "generate: '%s' is not connected\n",
-                   config.c_str());
+                   spec.c_str());
       return 1;
     }
   }
@@ -151,14 +145,13 @@ int cmd_generate(const Cli& cli) {
 
 int cmd_validate(const Cli& cli) {
   if (cli.positional().size() < 2) {
-    std::fprintf(stderr, "validate: missing <file>\n");
+    std::fprintf(stderr, "validate: missing <spec>\n");
     return 2;
   }
-  const std::string path = cli.positional()[1];
-  Topology topo = read_topology_path(path, cli.get("format", ""));
-  // read_* already ran Network::validate(); re-run explicitly so a future
-  // relaxed reader still gets caught here, then check connectivity, which
-  // loaders deliberately do not enforce.
+  Topology topo = build_topology_config(cli.positional()[1], exec_from(cli));
+  // The readers and generators already ran Network::validate(); re-run
+  // explicitly so a future relaxed reader still gets caught here, then
+  // check connectivity, which loaders deliberately do not enforce.
   topo.net.validate();
   const bool connected = topo.net.connected();
   print_stats(topo);
@@ -170,10 +163,10 @@ int cmd_validate(const Cli& cli) {
 
 int cmd_stats(const Cli& cli) {
   if (cli.positional().size() < 2) {
-    std::fprintf(stderr, "stats: missing <config-or-file>\n");
+    std::fprintf(stderr, "stats: missing <spec>\n");
     return 2;
   }
-  print_stats(load_any(cli.positional()[1], cli));
+  print_stats(build_topology_config(cli.positional()[1], exec_from(cli)));
   return 0;
 }
 
